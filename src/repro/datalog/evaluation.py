@@ -18,10 +18,17 @@ The fixedpoint state lives on the persistent fact store by default
 are O(#relations), the previous-generation side of the delta plans is a
 shared :meth:`~repro.store.snapshot.Snapshot.view` of the round's
 snapshot (warm indexes included), and ``generation_log`` provenance is a
-by-product rather than a separate mode.  ``store_backed=False`` keeps the
-dict-backed :class:`~repro.relational.instance.Instance` as the oracle
-backend (the old-generation side then lags one round behind in a second
-plain instance).
+by-product rather than a separate mode.  Writes are batched: a database
+that is itself a ``SnapshotInstance`` seeds the state by **sharing its
+immutable shards** (O(#relations), nothing copied, the caller's store
+untouched), any other database seeds with one commit per relation
+(validated only where its signature differs from the program's
+declaration), and every round commits its new facts with one validated
+commit per relation (:meth:`~repro.store.snapshot.SnapshotInstance.
+add_all`) instead of one insert per fact.  ``store_backed=False`` keeps
+the dict-backed :class:`~repro.relational.instance.Instance` as the
+oracle backend (the old-generation side then lags one round behind in a
+second plain instance).
 
 Rule bodies are evaluated through the compiled join engine
 (:mod:`repro.queries.plan_cache`); the body query of each rule is built
@@ -32,7 +39,16 @@ round compiles each rule (and each of its delta variants) exactly once.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.datalog.program import DatalogProgram, Rule
 from repro.obs import metrics as _metrics
@@ -179,7 +195,17 @@ def evaluate_program(
 
     *backend* picks the store backend for the fixedpoint state
     (``"memory"``/``"sqlite"``; ``None`` defers to the
-    ``REPRO_STORE_BACKEND`` knob).  On the ``sqlite`` backend, per-round
+    ``REPRO_STORE_BACKEND`` knob).  On the ``memory`` backend, when
+    *database* is a :class:`~repro.store.snapshot.SnapshotInstance` whose
+    non-empty relations are declared exactly as in the combined schema,
+    the state starts out **sharing the database's shards** (warm indexes
+    included) in O(#relations): the non-destructive twin of the SQLite
+    in-place path below — *database* is never modified, and the result's
+    EDB shards are the database's own objects.  Any other database is
+    copied with one commit per relation (validated only where its
+    signature differs from the declaration), and each round adds
+    its new facts with one validated commit per relation that has any.
+    On the ``sqlite`` backend, per-round
     snapshots are MVCC generation tokens and large rule joins push down
     as SQL (see :mod:`repro.store.sqlstore`) — the bigger-than-RAM path.
     As a special case, when *database* is itself an SQLite-backed store
@@ -207,59 +233,72 @@ def evaluate_program(
     if backend is not None and not store_backed:
         raise ValueError("backend selection requires the store backend")
     combined = program.combined_schema()
+    # Empty relations contribute nothing; in particular a database over a
+    # wider vocabulary than the program's EDB is fine as long as the extra
+    # relations hold no facts (the convention used by query evaluation
+    # throughout the package).
+    seed = []
+    for name in database.relation_names():
+        tuples = database.tuples_view(name)
+        if tuples:
+            seed.append((name, tuples))
+    # Facts skip re-validation only when the database's relation signature
+    # matches the program's declaration; otherwise they go through the
+    # validating path so a mismatched database fails with a SchemaError at
+    # this boundary, not deep inside the join engine.
+    compatible = {
+        name: name in combined
+        and combined.relation(name) == database.schema.relation(name)
+        for name, _ in seed
+    }
     adopted = False
     if not store_backed:
         state = Instance(combined)
-    else:
-        resolved = _backend.resolve_backend(backend)
-        if resolved == _backend.SQLITE_BACKEND:
-            if (
-                isinstance(database, SQLStoreInstance)
-                and database.schema == combined
-            ):
-                state = database  # in place: the bigger-than-RAM path
-                adopted = True
-            else:
-                state = SQLStoreInstance(combined)
+    elif _backend.resolve_backend(backend) == _backend.SQLITE_BACKEND:
+        if isinstance(database, SQLStoreInstance) and database.schema == combined:
+            state = database  # in place: the bigger-than-RAM path
+            adopted = True
         else:
-            state = SnapshotInstance(combined)
+            state = SQLStoreInstance(combined)
+    else:
+        state = SnapshotInstance(combined)
     # ``old`` is the previous-generation side of the delta plans: on the
     # store it is a shared view of the last pre-round snapshot; on the
     # dict backend it is a second instance lagging exactly one delta
     # behind (each fact is added to it once, O(n) over the whole run).
     old: Union[Instance, SnapshotInstance]
     if store_backed:
-        old = state.snapshot().view()  # the empty pre-seed generation
+        old = state.snapshot().view()  # the pre-seed generation
     else:
         old = Instance(combined)
-    delta: Dict[str, Set[Tuple[object, ...]]] = {}
-    for name in database.relation_names():
-        tuples = database.tuples_view(name)
-        if not tuples:
-            # Empty relations contribute nothing; in particular a database
-            # over a wider vocabulary than the program's EDB is fine as
-            # long as the extra relations hold no facts (the convention
-            # used by query evaluation throughout the package).
-            continue
-        # Bulk-load without re-validating only when the database's relation
-        # signature matches the program's EDB declaration; otherwise fall
-        # back to the validating path so a mismatched database fails with a
-        # SchemaError at this boundary, not deep inside the join engine.
-        compatible = (
-            name in combined
-            and combined.relation(name) == database.schema.relation(name)
-        )
-        bucket = delta.setdefault(name, set())
-        if adopted:
-            # The database *is* the state; seed only the round-1 delta.
-            bucket.update(tuples)
-            continue
-        for tup in tuples:
-            if compatible:
-                state.add_unchecked(name, tup)
-            else:
-                tup = state.add(name, tup)
-            bucket.add(tup)
+    # ``delta`` holds each round's new facts per relation; the first
+    # round's delta is the whole database.
+    delta: Dict[str, AbstractSet[Tuple[object, ...]]] = {}
+    if adopted:
+        # The database *is* the state; seed only the round-1 delta.
+        delta = {name: set(tuples) for name, tuples in seed}
+    elif isinstance(state, SnapshotInstance):
+        if isinstance(database, SnapshotInstance) and all(compatible.values()):
+            # Share the database's immutable shards (warm indexes
+            # included) in O(#relations): the non-destructive twin of the
+            # in-place SQLite path, leaving the caller's store untouched.
+            state = database.with_schema(combined)
+        else:
+            for name, tuples in seed:
+                if compatible[name]:
+                    state._commit(name, tuples)
+                else:
+                    state.add_all(name, tuples)
+        delta = dict(seed)
+    else:
+        for name, tuples in seed:
+            bucket = delta[name] = set()
+            for tup in tuples:
+                if compatible[name]:
+                    state.add_unchecked(name, tup)
+                else:
+                    tup = state.add(name, tup)
+                bucket.add(tup)
     if generation_log is not None:
         generation_log.append(state.snapshot())
     rounds = 0
@@ -272,7 +311,7 @@ def evaluate_program(
             if max_rounds is not None and rounds >= max_rounds:
                 break
             rounds += 1
-            new_facts: Set[Fact] = set()
+            new_facts: Dict[str, Set[Tuple[object, ...]]] = {}
             for rule in program.rules:
                 if semi_naive and _rule_supports_delta(rule):
                     derivations = _rule_delta_derivations(rule, state, old, delta)
@@ -280,8 +319,12 @@ def evaluate_program(
                     derivations = _rule_derivations(rule, state)
                 for fact in derivations:
                     if fact not in state:
-                        new_facts.add(fact)
-            _trace.event("datalog.round", round=rounds, new_facts=len(new_facts))
+                        new_facts.setdefault(fact[0], set()).add(fact[1])
+            _trace.event(
+                "datalog.round",
+                round=rounds,
+                new_facts=sum(len(tuples) for tuples in new_facts.values()),
+            )
             if not new_facts:
                 converged = True
                 break
@@ -294,14 +337,11 @@ def evaluate_program(
                     for name, bucket in delta.items():
                         for tup in bucket:
                             old.add_unchecked(name, tup)
-            for fact in new_facts:
-                state.add_fact(fact)
+            for name, tuples in new_facts.items():
+                state.add_all(name, tuples)
             if generation_log is not None:
                 generation_log.append(state.snapshot())
-            if semi_naive:
-                delta = {}
-                for name, tup in new_facts:
-                    delta.setdefault(name, set()).add(tup)
+            delta = new_facts
     finally:
         _trace.end(fixedpoint_span, rounds=rounds, converged=converged)
     _metrics.counter("datalog.fixedpoint_runs")

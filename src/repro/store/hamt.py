@@ -23,6 +23,19 @@ Design notes
   lockstep with an identity short-circuit, so comparing two snapshots
   that share most of their structure touches only the differing subtrees.
 
+* **Bulk build and batch merge.**  :class:`PMap` built from many items
+  (``PMap(items)``) and :meth:`PMap.update` do not insert one entry at a
+  time: ``_build`` groups the entries on their 5-bit hash slice, level by
+  level, and creates every node once; ``_merge_into`` pushes a batch
+  down an existing trie, copying each touched node once and building
+  fresh subtrees for untouched slots.  Both must yield exactly the
+  canonical shape above — a group of entries with one distinct hash is a
+  leaf (or a collision node), a group with several is a branch, even
+  when all of them share the next slice (a single-child branch) — because
+  :func:`_node_eq` and therefore snapshot equality compare shapes: a
+  bulk-built shard that differed in shape from its per-entry twin would
+  compare unequal despite equal contents.
+
 * **Hash stability across processes.**  The trie layout depends on
   ``hash()``, which for strings is randomized per process.  A pickled
   map therefore never ships its nodes: :meth:`PMap.__reduce__`
@@ -37,7 +50,7 @@ needs, nothing speculative.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 _BITS = 5
 _MASK = (1 << _BITS) - 1
@@ -164,6 +177,105 @@ def _dissoc(node: object, shift: int, h: int, key: object):
     return _Bitmap(node.bitmap, items), True
 
 
+_Entry = Tuple[int, object, object]
+
+
+def _slices(entries: List[_Entry], shift: int) -> Dict[int, List[_Entry]]:
+    """*entries* grouped on their hash slice at *shift*."""
+    groups: Dict[int, List[_Entry]] = {}
+    for entry in entries:
+        index = (entry[0] >> shift) & _MASK
+        group = groups.get(index)
+        if group is None:
+            groups[index] = [entry]
+        else:
+            group.append(entry)
+    return groups
+
+
+def _build(entries: List[_Entry], shift: int) -> object:
+    """The canonical subtree for *entries* (distinct keys, at least one).
+
+    Entries are ``(hash, key, value)`` triples whose hashes agree on every
+    slice above *shift*.  One entry is a leaf; entries sharing a single
+    hash are a collision node; anything else is a branch whose children
+    are built from the entries grouped on the slice at *shift*.
+    """
+    if len(entries) == 1:
+        return _Leaf(*entries[0])
+    if len(entries) == 2:
+        a, b = entries
+        if a[0] == b[0]:
+            return _Collision(a[0], ((a[1], a[2]), (b[1], b[2])))
+        return _merge(shift, _Leaf(*a), _Leaf(*b))
+    groups = _slices(entries, shift)
+    if len(groups) == 1:
+        first = entries[0][0]
+        if all(entry[0] == first for entry in entries):
+            return _Collision(first, tuple((key, value) for _, key, value in entries))
+    child_shift = shift + _BITS
+    bitmap = 0
+    items = []
+    for index in sorted(groups):
+        bitmap |= 1 << index
+        group = groups[index]
+        items.append(
+            _Leaf(*group[0]) if len(group) == 1 else _build(group, child_shift)
+        )
+    return _Bitmap(bitmap, tuple(items))
+
+
+def _merge_into(
+    node: object,
+    shift: int,
+    entries: List[_Entry],
+    added: List[object],
+) -> object:
+    """*node* with *entries* (distinct keys) inserted or replaced.
+
+    Keys that were not in *node* are appended to *added*.  Each touched
+    node is copied once and untouched subtrees are shared, and the result
+    has the canonical shape of its key set (see :func:`_build`).
+    """
+    if node is None:
+        added.extend(key for _, key, _ in entries)
+        return _build(entries, shift)
+    kind = type(node)
+    if kind is not _Bitmap:
+        # A leaf or a collision node: rebuild the group it stands for,
+        # with the batch's values winning over the old ones.
+        old_pairs = ((node.key, node.value),) if kind is _Leaf else node.pairs
+        old_keys = {key for key, _ in old_pairs}
+        batch_keys = {key for _, key, _ in entries}
+        added.extend(key for key in batch_keys if key not in old_keys)
+        combined = [
+            (node.h, key, value) for key, value in old_pairs if key not in batch_keys
+        ]
+        combined.extend(entries)
+        return _build(combined, shift)
+    groups = _slices(entries, shift)
+    bitmap = node.bitmap
+    items = list(node.items)
+    for index in sorted(groups):
+        bit = 1 << index
+        group = groups[index]
+        slot = (bitmap & (bit - 1)).bit_count()
+        if bitmap & bit:
+            items[slot] = _merge_into(items[slot], shift + _BITS, group, added)
+        else:
+            added.extend(key for _, key, _ in group)
+            items.insert(slot, _build(group, shift + _BITS))
+            bitmap |= bit
+    return _Bitmap(bitmap, tuple(items))
+
+
+def _entries(items) -> List[_Entry]:
+    """Hashed ``(hash, key, value)`` triples of *items*, last value per key."""
+    if type(items) is not dict:
+        items = dict(items)
+    return [(hash(key) & _HASH_MASK, key, value) for key, value in items.items()]
+
+
 def _get(node: object, h: int, key: object, default: object) -> object:
     shift = 0
     while node is not None:
@@ -246,14 +358,10 @@ class PMap:
         self._root: object = None
         self._size = 0
         if items:
-            root = None
-            size = 0
-            for key, value in items:
-                root, grew = _assoc(root, 0, _key_hash(key), key, value)
-                if grew:
-                    size += 1
-            self._root = root
-            self._size = size
+            entries = _entries(items)
+            if entries:
+                self._root = _build(entries, 0)
+                self._size = len(entries)
 
     @classmethod
     def _from_root(cls, root: object, size: int) -> "PMap":
@@ -266,6 +374,25 @@ class PMap:
         """A map with ``key`` bound to ``value``."""
         root, grew = _assoc(self._root, 0, _key_hash(key), key, value)
         return PMap._from_root(root, self._size + (1 if grew else 0))
+
+    def update(
+        self,
+        items: Iterable[Tuple[object, object]],
+        added: Optional[List[object]] = None,
+    ) -> "PMap":
+        """A map with every ``(key, value)`` of *items* bound (``dict.update``).
+
+        One batch merge: each touched node is copied once, however many
+        of the items land under it.  When *added* is given, the keys that
+        were not in this map are appended to it.
+        """
+        entries = _entries(items)
+        if not entries:
+            return self
+        new_keys: List[object] = [] if added is None else added
+        before = len(new_keys)
+        root = _merge_into(self._root, 0, entries, new_keys)
+        return PMap._from_root(root, self._size + len(new_keys) - before)
 
     def delete(self, key: object) -> "PMap":
         """A map without ``key``; returns ``self`` when the key is absent."""

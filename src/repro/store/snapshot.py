@@ -22,6 +22,19 @@ persistent (structurally shared) per-relation shards instead of mutable
   parallel chain checker (:mod:`repro.store.parallel`) ship search states
   to worker processes.
 
+Writes are **batch-first**: :meth:`SnapshotInstance.add_all` (and every
+way to build a store — the ``facts=`` constructor, :meth:`~SnapshotInstance.
+from_instance`, :meth:`~SnapshotInstance.from_frozen`, unpickling) adds a
+relation's tuples in one shard commit.  The commit deduplicates the batch
+against itself and the shard, picks the frozenset/HAMT representation from
+the final cardinality (a promotion is one bulk HAMT build, growth of a
+large shard one batch merge that copies each touched trie node once),
+derives a warm index once per touched bucket, folds the fingerprint in
+one pass and invalidates the caches once — O(batch + touched nodes)
+instead of one path copy, index derivation and cache reset per tuple.
+The single-tuple ``add_unchecked``/``discard`` stay for search code that
+mutates one fact at a time.
+
 Per-relation shards also carry **per-position indexes that survive
 snapshots** (``(position, value) -> frozenset of tuples``): built on the
 first probe of a relation and *derived* copy-on-write by every later
@@ -35,6 +48,8 @@ the plan compiler consumes for statistics-driven atom ordering
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
 from typing import (
     Dict,
     FrozenSet,
@@ -131,18 +146,7 @@ class Shard:
         """The bucket table (``dict`` or :class:`PMap`, both ``.get``-able)."""
         index = self.index
         if index is None:
-            buckets: Dict[Tuple[int, object], Set[Tuple[object, ...]]] = {}
-            for tup in self.tuples:
-                for position, value in enumerate(tup):
-                    buckets.setdefault((position, value), set()).add(tup)
-            frozen_buckets = {
-                key: frozenset(bucket) for key, bucket in buckets.items()
-            }
-            index = (
-                frozen_buckets
-                if type(self.tuples) is frozenset
-                else PMap(frozen_buckets.items())
-            )
+            index = _index_with(None, self.tuples, type(self.tuples) is frozenset)
             self.index = index
         return index
 
@@ -192,6 +196,38 @@ def _derive_index(index, tup: Tuple[object, ...], adding: bool, small: bool):
                 new_pmap.set(key, remaining) if remaining else new_pmap.delete(key)
             )
     return new_pmap
+
+
+def _index_with(index, tuples: Iterable[Tuple[object, ...]], small: bool):
+    """*index* (``None``: an empty one) with *tuples* added to their buckets.
+
+    The batch twin of :func:`_derive_index`: *tuples* (new to the
+    relation) are grouped by ``(position, value)`` first, so every touched
+    bucket is unioned once, and the table is copied once — a ``dict``
+    when the shard is *small*, else a :class:`PMap` bulk-built or
+    batch-merged.  Building an index on first probe is the same call with
+    ``index=None``.
+    """
+    groups: Dict[Tuple[int, object], List[Tuple[object, ...]]] = {}
+    for tup in tuples:
+        for key in enumerate(tup):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [tup]
+            else:
+                group.append(tup)
+    if index is None or type(index) is dict:
+        table = {} if index is None else dict(index)
+        get = table.get
+    else:
+        table = {}
+        get = index.get
+    for key, group in groups.items():
+        bucket = get(key)
+        table[key] = frozenset(group) if bucket is None else bucket.union(group)
+    if type(index) is PMap:  # a large shard only grows here
+        return index.update(table)
+    return table if small else PMap(table)
 
 
 class Snapshot:
@@ -317,8 +353,7 @@ def _snapshot_from_payload(
     """Rebuild a pickled snapshot in the receiving process."""
     instance = SnapshotInstance(schema)
     for name, tuples in payload:
-        for tup in tuples:
-            instance.add_unchecked(name, tup)
+        instance._commit(name, tuples)
     return instance.snapshot()
 
 
@@ -451,8 +486,7 @@ class SnapshotInstance:
         self._freeze_cache: Optional[FrozenInstance] = None
         if facts:
             for name, tuples in facts.items():
-                for values in tuples:
-                    self.add(name, values)
+                self.add_all(name, tuples)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -464,8 +498,7 @@ class SnapshotInstance:
             return instance.copy()
         store = cls(instance.schema)
         for name in instance.schema.names():
-            for tup in instance.tuples_view(name):
-                store.add_unchecked(name, tup)
+            store._commit(name, instance.tuples_view(name))
         return store
 
     @classmethod
@@ -485,9 +518,33 @@ class SnapshotInstance:
     @classmethod
     def from_frozen(cls, schema: Schema, frozen: FrozenInstance) -> "SnapshotInstance":
         """Rebuild a store from a frozen snapshot (a frozenset of facts)."""
-        store = cls(schema)
+        by_relation: Dict[str, List[Tuple[object, ...]]] = {}
         for name, tup in frozen:
-            store.add(name, tup)
+            by_relation.setdefault(name, []).append(tup)
+        return cls(schema, by_relation)
+
+    def with_schema(self, schema: Schema) -> "SnapshotInstance":
+        """A store over *schema* holding this store's facts (O(#relations)).
+
+        The new store shares this store's shards — tuples, warm indexes and
+        materialised views included — so neither side can see the other's
+        later mutations.  Every non-empty relation of this store must be
+        declared identically in *schema* (relations *schema* adds start
+        empty); otherwise :class:`SchemaError` is raised.
+        """
+        snap = self.snapshot()
+        store = SnapshotInstance(schema)
+        for name, shard in snap.shards.items():
+            if not shard.count:
+                continue
+            if name not in schema or schema.relation(name) != self.schema.relation(name):
+                raise SchemaError(
+                    f"relation {name!r} is not declared identically in the target schema"
+                )
+            store._shards[name] = shard
+        store._count = snap.count
+        store._hash_sum = snap.hash_sum
+        store._hash_xor = snap.hash_xor
         return store
 
     def copy(self) -> "SnapshotInstance":
@@ -570,14 +627,11 @@ class SnapshotInstance:
         if type(tuples) is frozenset:
             if tup in tuples:
                 return False
-            if shard.count < SMALL_SHARD_LIMIT:
-                new_tuples = tuples | {tup}
-            else:
-                # Promote to the persistent map: from here on updates are
-                # O(log n) node copies instead of whole-set copies.
-                new_tuples = PMap((existing, True) for existing in tuples).set(
-                    tup, True
-                )
+            if shard.count >= SMALL_SHARD_LIMIT:
+                # Promote to the persistent map (a bulk build): from here
+                # on updates are O(log n) node copies, not whole-set copies.
+                return self._commit(relation_name, (tup,)) == 1
+            new_tuples = tuples | {tup}
         else:
             new_tuples = tuples.set(tup, True)
             if len(new_tuples) == shard.count:
@@ -615,10 +669,59 @@ class SnapshotInstance:
         self._freeze_cache = None
         return True
 
-    def add_all(self, relation_name: str, tuples: Iterable[Sequence[object]]) -> None:
-        """Add several tuples to *relation_name*."""
-        for values in tuples:
-            self.add(relation_name, values)
+    def _commit(self, relation_name: str, tuples: Iterable[Tuple[object, ...]]) -> int:
+        """Add validated *tuples* to one relation in one shard swap; returns #new.
+
+        The batch write path: the batch is deduplicated against itself and
+        the shard, the representation follows the final cardinality (a
+        promotion is one bulk HAMT build, a large shard one batch merge),
+        a warm index is derived once per touched bucket, the fingerprint
+        is folded in one pass and the caches are invalidated once.
+        """
+        shard = self._shards[relation_name]
+        current = shard.tuples
+        if type(current) is frozenset:
+            fresh = {tup for tup in tuples if tup not in current}
+            if not fresh:
+                return 0
+            count = shard.count + len(fresh)
+            new_tuples = current | fresh
+            if count > SMALL_SHARD_LIMIT:
+                new_tuples = PMap(dict.fromkeys(new_tuples, True))
+            frozen = None
+        else:
+            fresh = []
+            new_tuples = current.update(dict.fromkeys(tuples, True), fresh)
+            if not fresh:
+                return 0
+            count = shard.count + len(fresh)
+            frozen = shard.frozen
+            if frozen is not None:
+                frozen = frozen.union(fresh)
+        new_shard = Shard(new_tuples, count)
+        new_shard.frozen = frozen
+        if shard.index is not None:
+            new_shard.index = _index_with(
+                shard.index, fresh, type(new_tuples) is frozenset
+            )
+        self._shards[relation_name] = new_shard
+        hashes = [_fact_hash(relation_name, tup) for tup in fresh]
+        self._count += len(hashes)
+        self._hash_sum = (self._hash_sum + sum(hashes)) & _M64
+        self._hash_xor ^= reduce(xor, hashes)
+        self._snap_cache = None
+        self._freeze_cache = None
+        return len(hashes)
+
+    def add_all(self, relation_name: str, tuples: Iterable[Sequence[object]]) -> int:
+        """Add several tuples to *relation_name* in one validated commit.
+
+        Every tuple is validated (the :meth:`add` contract) before any is
+        stored, so a bad tuple leaves the store unchanged.  Returns the
+        number of tuples that were new.
+        """
+        validate = self.schema.relation(relation_name).validate_tuple
+        return self._commit(relation_name, [validate(values) for values in tuples])
 
     def add_fact(self, fact: Fact) -> None:
         """Add a ``(relation, tuple)`` fact."""
@@ -646,7 +749,10 @@ class SnapshotInstance:
     ) -> FrozenSet[Tuple[object, ...]]:
         """Tuples whose *position*-th value is *value* (shard-cached index)."""
         shard = self._shards.get(relation_name)
-        if shard is None:
+        if shard is None or not shard.count:
+            # Empty shards are never indexed: caching an index on the
+            # shared empty shard would make every store start warm and
+            # derive indexes for relations it never probes.
             return _EMPTY_FROZENSET
         return shard.get_index().get((position, value), _EMPTY_FROZENSET)
 

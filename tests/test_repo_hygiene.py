@@ -6,7 +6,9 @@ library's behaviour:
 * compiled Python artifacts (``__pycache__``/``*.pyc``) must never be
   git-tracked — they are interpreter- and machine-specific and once
   committed they shadow honest diffs;
-* no silent broad-exception swallow sites may exist in ``src/``.
+* no silent broad-exception swallow sites may exist in ``src/``;
+* ``setup.py`` carries the package metadata itself (there is no
+  ``pyproject.toml`` to defer to).
 
 The silent-swallow check used to be an ad-hoc AST walk here; it now
 lives in the contract linter (:class:`repro.analysis.hygiene.
@@ -23,6 +25,7 @@ that keeps the guarantee **at least as strong as the seed check**:
 from __future__ import annotations
 
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,17 @@ def test_seed_strict_form_not_even_suppressible():
         "`except Exception: pass` sites suppressed via noqa (forbidden — "
         "the seed hygiene ban is unconditional): " + ", ".join(hidden)
     )
+
+
+def test_setup_py_reports_the_package_metadata():
+    completed = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    from repro import __version__
+
+    assert completed.stdout.split() == ["repro", __version__]

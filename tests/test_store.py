@@ -22,10 +22,27 @@ from repro.queries.evaluation import (
 )
 from repro.queries.plan_cache import clear_plan_cache, compile_plan, get_plan
 from repro.relational.instance import Instance
-from repro.relational.schema import Relation, Schema, make_schema
-from repro.store.hamt import EMPTY_PMAP, PMap
+from repro.relational.schema import Relation, Schema, SchemaError, make_schema
+from repro.relational.types import INT
+from repro.store.hamt import EMPTY_PMAP, PMap, _node_eq
 from repro.store.snapshot import SMALL_SHARD_LIMIT, Snapshot, SnapshotInstance
 from repro.workloads.generators import WorkloadGenerator
+
+
+class _Colliding:
+    """A key class whose instances all share one hash (full collisions)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return 7
+
+    def __eq__(self, other):
+        return isinstance(other, _Colliding) and other.value == self.value
+
+    def __repr__(self):
+        return f"_Colliding({self.value})"
 
 
 def _multiset(assignments):
@@ -76,6 +93,56 @@ class TestPMap:
         loaded = pickle.loads(pickle.dumps(pmap))
         assert loaded == pmap
         assert dict(loaded.items()) == dict(pmap.items())
+
+    @staticmethod
+    def _sequential(items, base=EMPTY_PMAP):
+        for key, value in items:
+            base = base.set(key, value)
+        return base
+
+    @pytest.mark.parametrize("keys", ["random", "shared_slices", "collisions"])
+    def test_bulk_build_and_batch_merge_have_the_sequential_shape(self, keys):
+        """``PMap(items)`` and ``update`` must build exactly the trie that
+        one ``set`` per item builds: equality compares shapes."""
+        rng = random.Random(11)
+        for trial in range(60):
+            size = rng.randint(0, 6) if trial % 3 == 0 else rng.randint(7, 700)
+            if keys == "random":
+                batch = [rng.randint(0, 5000) for _ in range(size)]
+            elif keys == "shared_slices":
+                # Small ints hash to themselves: multiples of 32**k share
+                # their k leading 5-bit slices (all zero).
+                batch = [
+                    rng.randint(0, 40) * 32 ** rng.choice([1, 2, 5, 11])
+                    for _ in range(size)
+                ]
+            else:
+                batch = [
+                    _Colliding(rng.randint(0, 9)) if rng.random() < 0.3
+                    else rng.randint(0, 60)
+                    for _ in range(size)
+                ]
+            items = [(key, rng.randint(0, 3)) for key in batch]
+            sequential = self._sequential(items)
+            bulk = PMap(items)
+            assert len(bulk) == len(sequential)
+            assert _node_eq(bulk._root, sequential._root)
+            cut = rng.randint(0, len(items))
+            base = self._sequential(items[:cut])
+            added = []
+            merged = base.update(items[cut:], added)
+            assert len(merged) == len(sequential)
+            assert _node_eq(merged._root, sequential._root)
+            assert set(added) == set(dict(items)) - set(dict(items[:cut]))
+            assert dict(merged.items()) == dict(items)
+            assert dict(base.items()) == dict(items[:cut])  # receiver unchanged
+
+    def test_duplicate_keys_keep_the_last_value(self):
+        items = [("a", 1), ("b", 2), ("a", 3), (_Colliding(1), 4), (_Colliding(1), 5)]
+        assert dict(PMap(items).items()) == dict(items)
+        assert len(PMap(items)) == 3
+        merged = PMap([("a", 0), (_Colliding(1), 0)]).update(items)
+        assert dict(merged.items()) == dict(items)
 
 
 def _random_schema() -> Schema:
@@ -191,6 +258,138 @@ class TestSnapshotInstanceAgreesWithInstance:
         assert instance.fingerprint() == instance.freeze()
         assert isinstance(store.fingerprint(), Snapshot)
         assert store.fingerprint() is store.snapshot()
+
+
+def _pairs(count: int, offset: int = 0):
+    return [(f"a{i}", f"b{i % 7}") for i in range(offset, offset + count)]
+
+
+def _fingerprint(snap: Snapshot):
+    return (snap.count, snap.hash_sum, snap.hash_xor)
+
+
+class TestBatchCommit:
+    """One shard commit per batch must be indistinguishable from one
+    ``add_unchecked`` per tuple, and both from the dict-backed oracle."""
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (0, SMALL_SHARD_LIMIT + 44),
+            (SMALL_SHARD_LIMIT - 1, SMALL_SHARD_LIMIT + 1),
+            (SMALL_SHARD_LIMIT, SMALL_SHARD_LIMIT + 1),
+            (10, 40),
+            (SMALL_SHARD_LIMIT + 44, 2 * SMALL_SHARD_LIMIT),
+        ],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_batch_matches_per_tuple_adds_and_the_oracle(self, before, after, warm):
+        schema = make_schema({"R": 2})
+        initial = _pairs(before)
+        fresh = _pairs(after - before, before)
+        # Duplicates within the batch and tuples already in the store.
+        batch = fresh + fresh[: len(fresh) // 3] + initial[:5]
+        batched = SnapshotInstance(schema)
+        batched.add_all("R", initial)
+        per_tuple = SnapshotInstance(schema)
+        for tup in initial:
+            per_tuple.add_unchecked("R", tup)
+        oracle = Instance(schema, {"R": initial})
+        if warm:
+            batched.index("R", 0, "a0")
+            per_tuple.index("R", 0, "a0")
+            warm = before > 0  # an empty shard caches no index
+        assert batched.add_all("R", batch) == after - before
+        for tup in batch:
+            per_tuple.add_unchecked("R", tup)
+            oracle.add_unchecked("R", tup)
+        one, two = batched.snapshot(), per_tuple.snapshot()
+        assert one == two and hash(one) == hash(two)
+        assert _fingerprint(one) == _fingerprint(two)
+        assert batched.freeze() == oracle.freeze()
+        shard = batched._shards["R"]
+        assert shard.count == after
+        # The representation still follows the cardinality alone.
+        small = after <= SMALL_SHARD_LIMIT
+        assert (type(shard.tuples) is frozenset) == small
+        assert (shard.index is not None) == warm
+        if warm:
+            assert (type(shard.index) is dict) == small
+        for position, values in ((0, [f"a{i}" for i in range(after + 1)]),
+                                 (1, [f"b{i}" for i in range(8)])):
+            for value in values:
+                assert batched.index("R", position, value) == oracle.index(
+                    "R", position, value
+                )
+        assert type(shard.index) is (dict if small else PMap)
+
+    def test_probing_an_empty_relation_warms_no_other_store(self):
+        schema = make_schema({"R": 2})
+        assert SnapshotInstance(schema).index("R", 0, "a") == frozenset()
+        store = SnapshotInstance(schema)
+        store.add_all("R", _pairs(3))
+        assert store._shards["R"].index is None
+
+    def test_a_batch_with_nothing_new_changes_nothing(self):
+        schema = make_schema({"R": 2})
+        store = SnapshotInstance(schema, {"R": _pairs(300)})
+        snap = store.snapshot()
+        assert store.add_all("R", _pairs(20)) == 0
+        assert store.add_all("R", []) == 0
+        assert store.snapshot() is snap
+
+    def test_a_bad_tuple_leaves_the_store_unchanged(self):
+        schema = make_schema({"R": 2})
+        store = SnapshotInstance(schema, {"R": _pairs(3)})
+        snap = store.snapshot()
+        with pytest.raises(SchemaError):
+            store.add_all("R", _pairs(5, 10) + [("too", "many", "values")])
+        assert store.snapshot() is snap
+
+    def test_every_constructor_agrees_with_per_tuple_adds(self):
+        schema = make_schema({"R": 2, "S": 1, "Z": 0})
+        facts = {
+            "R": _pairs(SMALL_SHARD_LIMIT + 30),
+            "S": [(f"s{i}",) for i in range(12)],
+            "Z": [()],
+        }
+        per_tuple = SnapshotInstance(schema)
+        for name, tuples in facts.items():
+            for tup in tuples:
+                per_tuple.add_unchecked(name, tup)
+        reference = per_tuple.snapshot()
+        oracle = Instance(schema, facts)
+        built = [
+            SnapshotInstance(schema, facts),
+            SnapshotInstance.from_instance(oracle),
+            SnapshotInstance.from_frozen(schema, oracle.freeze()),
+            SnapshotInstance.from_snapshot(pickle.loads(pickle.dumps(reference))),
+        ]
+        for store in built:
+            snap = store.snapshot()
+            assert snap == reference and hash(snap) == hash(reference)
+            assert _fingerprint(snap) == _fingerprint(reference)
+            assert store.freeze() == oracle.freeze()
+            assert set(store.index("R", 1, "b3")) == set(oracle.index("R", 1, "b3"))
+
+    def test_with_schema_shares_shards(self):
+        schema = make_schema({"R": 2, "Extra": 1})
+        wider = make_schema({"R": 2, "T": 1})
+        store = SnapshotInstance(schema, {"R": _pairs(300)})
+        store.index("R", 0, "a1")  # warm
+        shared = store.with_schema(wider)
+        assert shared._shards["R"] is store._shards["R"]
+        assert shared.relation_count("T") == 0
+        assert _fingerprint(shared.snapshot()) == _fingerprint(store.snapshot())
+        shared.add("T", ("x",))
+        shared.add("R", ("new", "row"))
+        assert not store.contains("R", ("new", "row"))
+        store.add("Extra", ("e",))
+        with pytest.raises(SchemaError):
+            store.with_schema(wider)  # a non-empty relation the target lacks
+        narrow = SnapshotInstance(make_schema({"R": 1}), {"R": [("x",)]})
+        with pytest.raises(SchemaError):
+            narrow.with_schema(wider)  # declared with another arity
 
 
 class TestSnapshotSemantics:
@@ -372,3 +571,132 @@ class TestDatalogGenerations:
         for earlier, later in zip(generations, generations[1:]):
             facts = set(earlier.facts())
             assert facts <= set(later.facts())
+
+
+def _grid_reach_database(total_facts: int) -> SnapshotInstance:
+    from repro.workloads.scaling import grid_reach_facts, grid_reach_schema
+
+    by_relation = {}
+    for name, tup in grid_reach_facts(total_facts):
+        by_relation.setdefault(name, []).append(tup)
+    return SnapshotInstance(grid_reach_schema(), by_relation)
+
+
+class TestFixedpointShardSharing:
+    """On the memory backend the fixedpoint seeds by sharing the
+    database's immutable shards, never by copying or mutating them."""
+
+    def test_result_shares_the_database_shards_and_matches_the_oracle(self):
+        from repro.workloads.scaling import grid_reach_program
+
+        program = grid_reach_program()
+        database = _grid_reach_database(600)
+        database.index("Edge", 0, 0)  # a warm index rides along
+        shards = dict(database._shards)
+        before = database.snapshot()
+        frozen = database.freeze()
+        result = evaluate_program(program, database)
+        for name in program.edb_schema.names():
+            assert result._shards[name] is shards[name]
+        assert database._shards == shards
+        assert database.snapshot() == before and database.freeze() == frozen
+        oracle = evaluate_program(
+            program, database.to_instance(), semi_naive=False, store_backed=False
+        )
+        assert result.freeze() == oracle.freeze()
+
+    def test_generation_log_starts_at_the_database(self):
+        from repro.workloads.scaling import grid_reach_program
+
+        program = grid_reach_program()
+        database = _grid_reach_database(300)
+        before = database.snapshot()
+        log = []
+        result = evaluate_program(program, database, generation_log=log)
+        assert _fingerprint(log[0]) == _fingerprint(before)
+        assert set(log[0].facts()) == set(database.facts())
+        assert SnapshotInstance.from_snapshot(log[-1]).freeze() == result.freeze()
+        assert database.snapshot() == before
+        assert _fingerprint(database.snapshot()) == _fingerprint(before)
+
+    def test_signature_mismatch_still_raises_and_extra_empty_relations_pass(self):
+        from repro.workloads.scaling import grid_reach_program
+
+        program = grid_reach_program()
+        wide = SnapshotInstance(
+            make_schema({"Init": 1, "Edge": 3}), {"Init": [(0,)], "Edge": [(0, 1, 2)]}
+        )
+        with pytest.raises(SchemaError):
+            evaluate_program(program, wide)
+        extra = SnapshotInstance(
+            make_schema({"Init": 1, "Edge": 2, "Unused": 2}),
+            {"Init": [(0,)], "Edge": [(0, 1), (1, 2)]},
+        )
+        result = evaluate_program(program, extra)
+        assert result._shards["Edge"] is extra._shards["Edge"]
+        assert result.tuples("Reach") == frozenset({(0,), (1,), (2,)})
+        extra.add("Unused", (5, 6))
+        with pytest.raises(SchemaError):
+            evaluate_program(program, extra)
+        # Declared differently but valid under the program's declaration:
+        # copied through the validating path, not shared.
+        typed = SnapshotInstance(
+            Schema([Relation("Init", 1, (INT,)), Relation("Edge", 2, (INT, INT))]),
+            {"Init": [(0,)], "Edge": [(0, 1)]},
+        )
+        result = evaluate_program(program, typed)
+        assert result._shards["Edge"] is not typed._shards["Edge"]
+        assert result.tuples("Reach") == frozenset({(0,), (1,)})
+
+
+class TestFixedpointCommitCount:
+    """The batching is pinned by counting shard commits, not by timing."""
+
+    @staticmethod
+    def _count_commits(monkeypatch, log):
+        """Record, per commit, how many generations were logged before it."""
+        commits = []
+        original = SnapshotInstance._commit
+
+        def counting(self, relation_name, tuples):
+            commits.append(len(log))
+            return original(self, relation_name, tuples)
+
+        monkeypatch.setattr(SnapshotInstance, "_commit", counting)
+        return commits
+
+    @staticmethod
+    def _changed_relations(log):
+        return [
+            sum(
+                1
+                for name, count in later.relation_counts().items()
+                if count != earlier.relation_counts()[name]
+            )
+            for earlier, later in zip(log, log[1:])
+        ]
+
+    def test_one_commit_per_round_and_relation_and_none_to_seed(self, monkeypatch):
+        from repro.workloads.scaling import grid_reach_program
+
+        database = _grid_reach_database(2000)
+        log = []
+        commits = self._count_commits(monkeypatch, log)
+        evaluate_program(grid_reach_program(), database, generation_log=log)
+        per_round = self._changed_relations(log)
+        assert len(per_round) > 2 and all(per_round)
+        assert commits.count(0) == 0  # seeding by shard sharing
+        assert [commits.count(generation) for generation in range(1, len(log))] == (
+            per_round
+        )
+        assert len(commits) == sum(per_round)
+
+    def test_a_dict_database_seeds_with_one_commit_per_relation(self, monkeypatch):
+        from repro.workloads.scaling import grid_reach_program
+
+        database = _grid_reach_database(500).to_instance()
+        log = []
+        commits = self._count_commits(monkeypatch, log)
+        evaluate_program(grid_reach_program(), database, generation_log=log)
+        assert commits.count(0) == 2  # Init and Edge
+        assert len(commits) == 2 + sum(self._changed_relations(log))
