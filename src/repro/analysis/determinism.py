@@ -272,6 +272,7 @@ class PayloadPicklabilityRule(Rule):
             }
         ),
         "repro/engine/reduction.py": frozenset({"ReductionTask", "ReductionResult"}),
+        "repro/store/workqueue.py": frozenset({"Shipped", "Recompute"}),
         "repro/obs/trace.py": frozenset({"SpanRecord"}),
     }
 

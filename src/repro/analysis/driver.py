@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 from repro.analysis import baseline as baseline_mod
 from repro.analysis import determinism as _determinism  # noqa: F401  (registers rules)
 from repro.analysis import hygiene as _hygiene  # noqa: F401  (registers rules)
+from repro.analysis import pool as _pool  # noqa: F401  (registers rules)
 from repro.analysis import sql as _sql  # noqa: F401  (registers rules)
 from repro.analysis import storage as _storage  # noqa: F401  (registers rules)
 from repro.analysis.baseline import BaselineComparison, BaselineError, BaselineEntry

@@ -197,16 +197,13 @@ class SubtreeOutcome:
     was hit first — the caller re-splits the item one level deeper), or
     ``"aborted"`` (the global ``max_paths`` cap was hit — the sequential
     search would have aborted too).  ``stats`` carries the worker's
-    instrumentation deltas when the item ran in another process, and
-    ``spans`` its recorded trace spans (:mod:`repro.obs.trace`) for the
-    coordinator to fold into the parent trace.
+    instrumentation deltas when the item ran in another process.
     """
 
     status: str
     steps: Optional[Tuple[PathStep, ...]]
     explored: int
     stats: Optional[Dict[str, int]] = None
-    spans: Optional[Tuple["trace.SpanRecord", ...]] = None
 
 
 @dataclass(frozen=True)
@@ -1006,19 +1003,13 @@ def _search_accepted_path(
 
 @dataclass(frozen=True)
 class ChainOutcome:
-    """The verdict of one Lemma 4.9 chain restriction.
-
-    ``spans`` carries the trace spans a pool worker recorded while
-    checking this chain (:mod:`repro.obs.trace`); the coordinator folds
-    them into the parent trace when collecting the outcome.
-    """
+    """The verdict of one Lemma 4.9 chain restriction."""
 
     prechecked_empty: bool
     witness: Optional[AccessPath]
     explored: int
     exhausted: bool
     stats: Optional[Dict[str, int]] = None
-    spans: Optional[Tuple["trace.SpanRecord", ...]] = None
 
 
 def check_restriction(
@@ -1222,15 +1213,15 @@ def _anytime_emptiness(
 
     executor = None
     if use_executor:
-        try:
-            from repro.store.parallel import _SUBTREE_POOL_UNITS, _worker_count
-            from repro.store.workqueue import SubtreeExecutor, shared_pool
+        from repro.store.parallel import _SUBTREE_POOL_UNITS, _worker_count
+        from repro.store.workqueue import SubtreeExecutor
 
-            workers = _worker_count(_SUBTREE_POOL_UNITS, max_workers)
-            if workers > 1:
-                executor = SubtreeExecutor(shared_pool(workers))
-        except Exception:
-            executor = None  # pool-less environments degrade in process
+        workers = _worker_count(_SUBTREE_POOL_UNITS, max_workers)
+        if workers > 1:
+            # The pool itself is created by the first dispatch, which
+            # counts a failure (``pool_submit_errors``) and resolves the
+            # items in process.
+            executor = SubtreeExecutor(workers)
 
     for index in range(start_chain, num_chains):
         if checkpoint is None and clock.expired():
@@ -1286,11 +1277,11 @@ def _fold_chain_outcomes(
                 stats[key] = stats.get(key, 0) + value
 
     for outcome in outcomes:
+        merge_stats(outcome.stats)
         if outcome.prechecked_empty:
             _metrics.counter("emptiness.prechecked_chains")
             continue
         total_explored += outcome.explored
-        merge_stats(outcome.stats)
         if outcome.witness is not None:
             _metrics.counter("emptiness.nonempty_results")
             _metrics.absorb("emptiness", stats)

@@ -32,9 +32,12 @@ Guarantees:
   ``max_workers`` overrides the gate (tests use it to exercise the real
   pool on single-core machines; operators to force dispatch).
 
-* **Sequential fallback.**  One restriction, one worker, an unavailable
-  pool (restricted environments without ``fork``/semaphores) or a worker
-  failure all degrade to in-process sequential checking.
+* **In-process fallback.**  One restriction or one usable CPU degrades
+  to in-process sequential checking.  Pool failures are handled per
+  chain by :func:`repro.store.workqueue.dispatch` (bounded retries,
+  ``REPRO_POOL_ITEM_TIMEOUT``): a chain the pool loses — no pool in a
+  restricted environment, a dead worker, a timeout — is recomputed alone
+  in process, and the other chains keep their pooled outcomes.
 
 The pool prefers the ``fork`` start method (cheap on Linux, inherits the
 parent's hash seed); under ``spawn`` correctness is preserved because
@@ -47,13 +50,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs import env as envknobs
-from repro.obs import trace as _trace
-from repro.store import faults, workqueue
+from repro.store import workqueue
 from repro.store.snapshot import Snapshot, SnapshotInstance
-from repro.store.workqueue import SubtreeExecutor, warn_invalid_env
+from repro.store.workqueue import _bump, _merge_stats
 
 #: Environment toggle consulted when ``automaton_emptiness(parallel=None)``.
 PARALLEL_CHAINS_ENV = envknobs.PARALLEL_CHAINS_ENV
@@ -87,19 +89,14 @@ _MAX_WORKERS_CAP = 8
 _SUBTREE_POOL_UNITS = 8
 
 
-#: Back-compat alias; the lenient-flag semantics live in the knob
-#: registry (:func:`repro.obs.env.flag_lenient`).
-_env_flag = envknobs.flag_lenient
-
-
 def parallel_chains_enabled() -> bool:
     """Whether the environment opts in to parallel chain checking."""
-    return _env_flag(PARALLEL_CHAINS_ENV)
+    return envknobs.flag_lenient(PARALLEL_CHAINS_ENV)
 
 
 def subtree_parallel_enabled() -> bool:
     """Whether the environment opts in to subtree-decomposed searches."""
-    return _env_flag(PARALLEL_SUBTREES_ENV)
+    return envknobs.flag_lenient(PARALLEL_SUBTREES_ENV)
 
 
 def min_dispatch_cost() -> int:
@@ -160,195 +157,36 @@ def _worker_count(num_units: int, max_workers: Optional[int]) -> int:
     return max(1, min(num_units, available_cpus(), _MAX_WORKERS_CAP))
 
 
-def _should_dispatch(total_cost: int, max_workers: Optional[int]) -> bool:
-    if max_workers is not None:
-        return True
-    return total_cost >= min_dispatch_cost()
+def dispatch_workers(
+    num_units: int, total_cost: int, max_workers: Optional[int]
+) -> int:
+    """Pool size for *num_units* independent items; ``0`` keeps them in process.
 
-
-def _check_chain_payload(payload):
-    """Top-level worker entry point (must be picklable by name).
-
-    The payload's optional sixth element is the coordinator's tracing
-    flag; when set, the worker records its ``emptiness.chain`` span tree
-    locally and ships it back on ``ChainOutcome.spans`` for the
-    coordinator to fold into the parent trace.
+    The one cost gate of every pooled path (chain fan-out and engine
+    batches): dispatch needs usable extra CPUs and estimated work of at
+    least :func:`min_dispatch_cost`, unless an explicit *max_workers*
+    overrides both.
     """
-    restriction, vocabulary, initial_snapshot, search_kwargs, use_precheck = payload[:5]
-    trace_on = bool(payload[5]) if len(payload) > 5 else False
+    workers = _worker_count(num_units, max_workers)
+    if max_workers is None and (workers <= 1 or total_cost < min_dispatch_cost()):
+        return 0
+    return workers
+
+
+def _check_chain(restriction, vocabulary, initial_snapshot, search_kwargs, use_precheck):
+    """Check one whole chain in a worker (fault point ``chain``)."""
     from repro.automata.emptiness import check_restriction
 
-    _trace.configure_worker(trace_on)
-    faults.fire("chain")
     initial = SnapshotInstance.from_snapshot(initial_snapshot)
-    outcome = check_restriction(
+    return check_restriction(
         restriction, vocabulary, initial, search_kwargs, use_precheck
     )
-    if trace_on:
-        spans = tuple(_trace.take_spans())
-        if spans:
-            outcome = dataclasses.replace(outcome, spans=spans)
-    return outcome
-
-
-def _sequential(
-    restrictions: Sequence,
-    vocabulary,
-    initial,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-) -> List:
-    from repro.automata.emptiness import check_restriction
-
-    outcomes = []
-    for restriction in restrictions:
-        outcome = check_restriction(
-            restriction, vocabulary, initial, search_kwargs, use_datalog_precheck
-        )
-        outcomes.append(outcome)
-        if outcome.witness is not None:
-            break  # the fold stops here; later chains are dead work
-    return outcomes
 
 
 def _initial_snapshot(initial) -> Snapshot:
     if isinstance(initial, Snapshot):
         return initial
     return SnapshotInstance.from_instance(initial).snapshot()
-
-
-def _chain_fanout(
-    pool,
-    restrictions: Sequence,
-    vocabulary,
-    initial,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-) -> List:
-    """Whole-chain fan-out: one pool task per restriction."""
-    initial_snapshot = _initial_snapshot(initial)
-    payloads = [
-        (
-            restriction,
-            vocabulary,
-            initial_snapshot,
-            search_kwargs,
-            use_datalog_precheck,
-            _trace.enabled(),
-        )
-        for restriction in restrictions
-    ]
-    futures = [pool.submit(_check_chain_payload, payload) for payload in payloads]
-    outcomes = []
-    for index, future in enumerate(futures):
-        outcome = future.result()
-        _trace.attach_children(outcome.spans)
-        outcomes.append(outcome)
-        if outcome.witness is not None:
-            # The fold stops at the first witness in restriction order,
-            # so everything after this chain is dead work: cancel what
-            # has not started (running tasks finish in the background
-            # and are discarded).
-            for later in futures[index + 1 :]:
-                later.cancel()
-            break
-    return outcomes
-
-
-def _hybrid_fanout(
-    pool,
-    restrictions: Sequence,
-    vocabulary,
-    initial,
-    search_kwargs: Dict[str, object],
-    use_datalog_precheck: bool,
-    pool_size: Optional[int] = None,
-) -> List:
-    """Subtree-aware placement: split the straggler, pool the rest.
-
-    The chain with the largest cost estimate is the straggler that makes
-    whole-chain granularity lose; its witness search runs in the
-    coordinator with its DFS subtrees dispatched to the shared pool,
-    while every other chain ships as a whole-chain task into the same
-    queue.  Workers therefore stay busy on the dominant chain's items as
-    the small chains drain — the sequential tail is split instead of
-    waited on.  Placement depends on runtime estimates, but the subtree
-    decomposition's results are placement-independent, so the folded
-    outcome never does.
-    """
-    from repro.automata.emptiness import check_restriction
-
-    costs = [
-        estimate_chain_cost(r, search_kwargs, pool_size) for r in restrictions
-    ]
-    dominant = max(range(len(restrictions)), key=lambda i: (costs[i], -i))
-    initial_snapshot = _initial_snapshot(initial)
-    futures = {}
-    for index, restriction in enumerate(restrictions):
-        if index == dominant:
-            continue
-        payload = (
-            restriction,
-            vocabulary,
-            initial_snapshot,
-            search_kwargs,
-            use_datalog_precheck,
-            _trace.enabled(),
-        )
-        futures[index] = pool.submit(_check_chain_payload, payload)
-
-    def _earlier_witness_already_found() -> bool:
-        # Non-blocking scan: a finished earlier-indexed chain carrying a
-        # witness makes the dominant chain dead work (the fold stops
-        # before it).  A chain that finishes *while* the dominant search
-        # runs is not seen — that race is inherent to running them
-        # concurrently — but the cheap chains often beat the coordinator
-        # to this point, and skipping a multi-second dominant search is
-        # worth the O(#chains) check.
-        for index in range(dominant):
-            future = futures.get(index)
-            if future is not None and future.done():
-                try:
-                    if future.result().witness is not None:
-                        return True
-                except Exception:
-                    return False  # broken future: the caller's fallback handles it
-        return False
-
-    if _earlier_witness_already_found():
-        dominant_outcome = None
-    else:
-        executor = SubtreeExecutor(pool)
-        dominant_outcome = check_restriction(
-            restrictions[dominant],
-            vocabulary,
-            initial,
-            search_kwargs,
-            use_datalog_precheck,
-            executor=executor,
-        )
-    outcomes = []
-    for index in range(len(restrictions)):
-        if index == dominant and dominant_outcome is None:
-            # Unreachable by the fold: an earlier chain's witness
-            # truncates the walk before this entry.  Assert the
-            # invariant rather than fabricating an outcome.
-            raise AssertionError(
-                "dominant chain skipped without an earlier witness"
-            )  # pragma: no cover - guarded by _earlier_witness_already_found
-        outcome = (
-            dominant_outcome if index == dominant else futures[index].result()
-        )
-        if index != dominant:
-            _trace.attach_children(outcome.spans)
-        outcomes.append(outcome)
-        if outcome.witness is not None:
-            for later in range(index + 1, len(restrictions)):
-                future = futures.get(later)
-                if future is not None:
-                    future.cancel()
-            break
-    return outcomes
 
 
 def map_chain_outcomes(
@@ -367,68 +205,90 @@ def map_chain_outcomes(
     pool anyway and passes its size along so the gate can bound the
     exploration budget by the actual search space).
 
-    Dispatches the per-chain checks (and, in subtree mode, the dominant
-    chain's subtree items) to the shared process pool and collects the
-    ordered outcomes; once an outcome carries a witness the remaining
-    chains are dead work (the caller's fold stops there, mirroring the
-    sequential early exit), so not-yet-started tasks are cancelled and
-    the list is truncated at that point.  Falls back to in-process
-    sequential checking whenever parallelism cannot help (no usable
-    extra CPUs, estimated work below :func:`min_dispatch_cost`, a single
-    chain outside subtree mode) or cannot be obtained (no pool, a worker
-    failure) — by construction the folded result is the same.
+    Runs the in-process sequential loop when parallelism cannot help (no
+    usable extra CPUs, estimated work below :func:`min_dispatch_cost`, a
+    single chain outside subtree mode).  Otherwise every chain ships as
+    a whole-chain task through :func:`repro.store.workqueue.dispatch`,
+    except in subtree mode the *dominant* chain — the one with the
+    largest cost estimate, the straggler that makes whole-chain
+    granularity lose: its witness search runs here with its DFS subtrees
+    dispatched to the same pool, so workers stay busy on its items as
+    the small chains drain.  Placement depends on runtime estimates, but
+    the subtree decomposition's results are placement-independent, so
+    the folded outcome never does.
+
+    Once an outcome carries a witness the remaining chains are dead work
+    (the caller's fold stops there, mirroring the sequential early
+    exit), so not-yet-started tasks are cancelled and the list is
+    truncated at that point.  A chain the pool loses (no pool, a worker
+    failure, a timeout) is recomputed alone in process and counted in
+    ``pool_chain_fallbacks``; the pool counters ride on the first
+    outcome's stats, which the fold always merges (stats are excluded
+    from result equality, so the folded result is the same).
     """
-    num_chains = len(restrictions)
-    subtree = bool(search_kwargs.get("subtree_mode"))
-    units = num_chains if not subtree else max(num_chains, _SUBTREE_POOL_UNITS)
-    workers = _worker_count(units, max_workers)
-    total_cost = sum(
-        estimate_chain_cost(restriction, search_kwargs, pool_size)
-        for restriction in restrictions
-    )
-    if (
-        workers <= 1
-        or not _should_dispatch(total_cost, max_workers)
-        or (num_chains <= 1 and not subtree)
-    ):
-        return _sequential(
-            restrictions, vocabulary, initial, search_kwargs, use_datalog_precheck
-        )
-    try:
-        pool = workqueue.shared_pool(workers)
-        if subtree:
-            return _hybrid_fanout(
-                pool,
-                restrictions,
-                vocabulary,
-                initial,
-                search_kwargs,
-                use_datalog_precheck,
-                pool_size,
-            )
-        return _chain_fanout(
-            pool,
-            restrictions,
+    from repro.automata.emptiness import check_restriction
+
+    def check(restriction, executor=None):
+        return check_restriction(
+            restriction,
             vocabulary,
             initial,
             search_kwargs,
             use_datalog_precheck,
+            executor=executor,
         )
-    except Exception:
-        # Pools can be unavailable (sandboxes without semaphores) and
-        # exotic payloads can fail to pickle; verdicts must not depend on
-        # either, so recompute everything in process — and say so: the
-        # fallback is recorded in the first outcome's stats instead of
-        # being swallowed (stats are excluded from result equality, so
-        # the determinism guarantees are untouched).
-        workqueue.discard_shared_pool()
-        _trace.event("pool.fallback", point="chain")
-        outcomes = _sequential(
-            restrictions, vocabulary, initial, search_kwargs, use_datalog_precheck
+
+    num_chains = len(restrictions)
+    subtree = bool(search_kwargs.get("subtree_mode"))
+    units = num_chains if not subtree else max(num_chains, _SUBTREE_POOL_UNITS)
+    costs = [
+        estimate_chain_cost(restriction, search_kwargs, pool_size)
+        for restriction in restrictions
+    ]
+    workers = 0
+    if num_chains > 1 or subtree:
+        workers = dispatch_workers(units, sum(costs), max_workers)
+    dominant = None
+    results = None
+    pool_stats: Dict[str, int] = {}
+    if workers:
+        if subtree:
+            dominant = max(range(num_chains), key=lambda i: (costs[i], -i))
+        snapshot = _initial_snapshot(initial)
+        results = workqueue.dispatch(
+            [r for index, r in enumerate(restrictions) if index != dominant],
+            "chain",
+            _check_chain,
+            lambda r: (r, vocabulary, snapshot, search_kwargs, use_datalog_precheck),
+            workers=workers,
+            stats=pool_stats,
         )
-        if outcomes:
-            first = outcomes[0]
-            stats = dict(first.stats or {})
-            stats["pool_chain_fallbacks"] = stats.get("pool_chain_fallbacks", 0) + 1
-            outcomes[0] = dataclasses.replace(first, stats=stats)
-        return outcomes
+    outcomes = []
+    try:
+        dominant_outcome = None
+        if dominant is not None:
+            dominant_outcome = check(
+                restrictions[dominant], workqueue.SubtreeExecutor(workers)
+            )
+        for index, restriction in enumerate(restrictions):
+            if index == dominant:
+                outcome = dominant_outcome
+            elif results is None:
+                outcome = check(restriction)
+            else:
+                outcome = next(results)
+                if isinstance(outcome, workqueue.Recompute):
+                    _bump(pool_stats, "pool_chain_fallbacks")
+                    outcome = check(restriction)
+            outcomes.append(outcome)
+            if outcome.witness is not None:
+                break  # later chains are dead work; close() cancels them
+    finally:
+        if results is not None:
+            results.close()
+    if pool_stats:
+        first = outcomes[0]
+        stats = dict(first.stats or {})
+        _merge_stats(stats, pool_stats)
+        outcomes[0] = dataclasses.replace(first, stats=stats)
+    return outcomes

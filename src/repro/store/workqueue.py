@@ -1,15 +1,25 @@
-"""Shared-queue subtree execution for the emptiness witness search.
+"""The shared process pool and its one dispatcher, plus subtree execution.
 
-The Lemma 4.9 chain decomposition (:mod:`repro.store.parallel`) gives
-whole-chain parallelism, which loses when one hard chain dominates: the
-pool drains to a single busy worker while the stragglers' subtrees sit
-inside it, unreachable.  This module parallelises *inside* a chain.
-Snapshots are picklable by construction, so a DFS frontier node ships as
-a self-contained :class:`~repro.automata.emptiness.SubtreeItem`
-``(states, snapshot, known, budget)``; workers pull items from the
-shared pool queue, run each to completion — or hand it back for
-**re-splitting** when it exceeds the per-item work budget — and the
-coordinator folds the outcomes deterministically.
+Three kinds of work cross into worker processes: whole Lemma 4.9 chain
+restrictions (:mod:`repro.store.parallel`), DFS subtree items of one
+chain's witness search (this module) and the decision engine's reduction
+tasks (:mod:`repro.engine.engine`).  All of them go through
+:func:`dispatch`: one submission/ordering primitive, one worker wrapper
+per fault point (``chain``, ``subtree``, ``task``) returning one
+:class:`Shipped` envelope, and one failure state machine that hands the
+caller a per-item :class:`Recompute` marker whenever the pool could not
+deliver.  No other module touches the pool (lint rule ``POOL001``).
+
+Subtree parallelism: the chain decomposition gives whole-chain
+parallelism, which loses when one hard chain dominates: the pool drains
+to a single busy worker while the stragglers' subtrees sit inside it,
+unreachable.  Snapshots are picklable by construction, so a DFS frontier
+node ships as a self-contained
+:class:`~repro.automata.emptiness.SubtreeItem`
+``(states, snapshot, known, budget)``; workers run each item to
+completion — or hand it back for **re-splitting** when it exceeds the
+per-item work budget — and the coordinator folds the outcomes
+deterministically.
 
 Guarantees:
 
@@ -30,15 +40,15 @@ Guarantees:
   children — adaptive granularity without nondeterminism, at the cost of
   discarding the overflowed attempt (at most one budget's worth of
   work).
-* **Warm shared pool.**  One persistent process pool (shared with the
-  chain-level fan-out) is reused across ``automaton_emptiness`` calls;
-  each worker caches the unpickled search context per coordinator token,
-  so after the first item of a context only the item itself is rebuilt
-  per task.
+* **Warm shared pool.**  One persistent process pool (shared by all
+  three kinds of work) is reused across calls; each worker caches the
+  unpickled search context per coordinator token, so after the first
+  item of a context only the item itself is rebuilt per task.
 
-Early cancellation: once the fold settles on a witness, not-yet-started
-items are cancelled (running ones finish in the background and are
-discarded), mirroring the chain-level early exit.
+Early cancellation: once a consumer stops (the fold settles on a
+witness, a chain fan-out reaches its first witness), the not-yet-started
+items are cancelled; running ones finish in the background and are
+discarded.
 """
 
 from __future__ import annotations
@@ -49,7 +59,8 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # NOTE: repro.store is initialised very early (the query plan cache pulls
 # in the snapshot store), so this module must not import the repro.core
@@ -89,15 +100,6 @@ POOL_ITEM_TIMEOUT_ENV = envknobs.POOL_ITEM_TIMEOUT_ENV
 #: Base of the exponential retry backoff (seconds): 0.05, 0.1, 0.2, ...
 _RETRY_BACKOFF_S = 0.05
 
-
-# ----------------------------------------------------------------------
-# Environment parsing — the declarations and parsers live in the central
-# knob registry (:mod:`repro.obs.env`); these wrappers keep the
-# historical call sites and import paths working.
-# ----------------------------------------------------------------------
-warn_invalid_env = envknobs.warn_invalid_env
-#: Back-compat alias; the live warned-once set is ``repro.obs.env._ENV_WARNED``.
-_ENV_WARNED = envknobs._ENV_WARNED
 
 
 def subtree_split_budget() -> int:
@@ -139,13 +141,12 @@ def _bump(stats: Dict[str, int], key: str, amount: int = 1) -> None:
 # ----------------------------------------------------------------------
 # A lazily created, reused pool: spawning workers costs hundreds of
 # milliseconds (fork of a large parent, interpreter warm-up), which would
-# otherwise be paid by every emptiness call.  The pool is replaced when a
-# caller needs more workers than it has, and discarded on any failure
-# (the next call recreates it).  Both the chain-level fan-out
-# (:mod:`repro.store.parallel`) and the subtree executor draw from it,
-# so chain tasks and subtree items interleave in one queue — which is
-# exactly how a dominant chain's subtrees fill workers that drained
-# their own chains.
+# otherwise be paid by every call.  The pool is replaced when a caller
+# needs more workers than it has, and discarded on failure (the next
+# dispatch recreates it).  Chain tasks, subtree items and engine tasks
+# all draw from it, so they interleave in one queue — which is exactly
+# how a dominant chain's subtrees fill workers that drained their own
+# chains.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
@@ -177,6 +178,222 @@ def discard_shared_pool() -> None:
             _metrics.counter("pool.shutdown_errors")
     _POOL = None
     _POOL_WORKERS = 0
+
+
+# ----------------------------------------------------------------------
+# The dispatcher
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Shipped:
+    """A pooled item's value plus the worker's spans and counter delta."""
+
+    value: object
+    spans: Optional[Tuple] = None
+    counters: Optional[Dict[str, float]] = None
+
+
+@dataclass(frozen=True)
+class Recompute:
+    """Per-item marker: the pool did not deliver, recompute in-process.
+
+    ``reason`` is ``"payload"`` (the item cannot cross the pipe),
+    ``"worker"`` (transient failures outlasted the retries), ``"timeout"``
+    (the per-item deadline passed), ``"submit"`` (no pool, or submission
+    failed) or ``"deadline"`` (the caller's batch clock ran out while
+    waiting — not a pool failure, so not counted as one).
+    """
+
+    reason: str
+
+
+def _pool_worker(point: str, fn: Callable, args: Tuple, trace_on: bool) -> Shipped:
+    """The worker wrapper of every pooled item: fault point, tracing, envelope.
+
+    *trace_on* travels with each submission because persistent workers
+    keep whatever tracing flag they inherited at fork time.
+    """
+    _trace.configure_worker(trace_on)
+    base = _metrics.REGISTRY.counters_snapshot()
+    faults.fire(point)
+    value = fn(*args)
+    spans = tuple(_trace.take_spans()) if trace_on else None
+    counters = _metrics.REGISTRY.counters_delta(base)
+    return Shipped(value, spans or None, counters or None)
+
+
+class Dispatch:
+    """Pooled results of one batch of items, in submission order.
+
+    Each ``next()`` blocks for the next item and returns its value or a
+    :class:`Recompute` marker; :attr:`retried` says whether the value
+    just returned came from a retry.  :meth:`close` (or leaving a
+    ``with`` block) cancels the items not yet consumed.  The spans and
+    counter delta a worker shipped are folded into the coordinator's
+    trace and metrics registry on consumption.
+
+    Failure state machine, every occurrence counted into *stats*:
+
+    * **pool creation or submission fails** (``pool_submit_errors``, or
+      ``pool_payload_errors`` for an unpicklable submission) — the pool
+      is discarded and every unsubmitted item is a ``"submit"`` marker;
+    * **payload error** (``pool_payload_errors``) — pickling/unpickling
+      failed, which retrying cannot fix: ``"payload"`` at once;
+    * **transient failure** (``pool_worker_failures``) — a dead worker, a
+      severed pipe, a sibling cancelled by a pool replacement.  Retried
+      up to :func:`pool_retry_limit` times (``pool_retries``) with
+      exponential backoff; the pool is rebuilt unless another item
+      already replaced it.  Once one item has spent its retries the pool
+      is evidently broken, so later failures of this batch fall back
+      without retrying: ``"worker"``;
+    * **timeout** (``pool_timeouts``) — :func:`pool_item_timeout`, capped
+      by the caller's batch clock, passed without a result.  The item is
+      abandoned (its worker is still busy; queueing a copy would stall
+      the batch further): ``"timeout"``, or ``"deadline"`` (uncounted)
+      when the batch clock itself ran out.
+    """
+
+    def __init__(self, items, point, fn, payload, workers, stats, clock) -> None:
+        self._items = list(items)
+        self._point = point
+        self._fn = fn
+        self._payload = payload
+        self._workers = workers
+        self._stats = stats
+        self._clock = clock
+        self._timeout = pool_item_timeout()
+        self._retry_limit = pool_retry_limit()
+        self._broken = False
+        self._next = 0
+        self.retried = False
+        #: ``(future, pool)`` per submitted item, ``None`` once consumed
+        #: or when submission failed.
+        self._slots: List[Optional[Tuple[object, ProcessPoolExecutor]]] = []
+        try:
+            pool = shared_pool(workers)
+        except Exception:
+            _bump(stats, "pool_submit_errors")
+            _trace.event("pool.submit_error", point=point)
+            pool = None
+        for item in self._items:
+            slot = None
+            if pool is not None:
+                try:
+                    slot = (self._submit(pool, item), pool)
+                except Exception as error:
+                    discard_shared_pool()
+                    self._count_error(error, "pool_submit_errors")
+                    pool = None
+            self._slots.append(slot)
+
+    def _submit(self, pool, item):
+        return pool.submit(
+            _pool_worker, self._point, self._fn, self._payload(item), _trace.enabled()
+        )
+
+    def _count_error(self, error: BaseException, transient_key: str) -> bool:
+        """Count *error*; whether it was a payload error."""
+        payload = _is_payload_error(error)
+        _bump(self._stats, "pool_payload_errors" if payload else transient_key)
+        if payload:
+            _trace.event(
+                "pool.payload_error", point=self._point, error=type(error).__name__
+            )
+        return payload
+
+    def _fallback(self, reason: str) -> Recompute:
+        _trace.event("pool.fallback", point=self._point, reason=reason)
+        return Recompute(reason)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        index = self._next
+        if index >= len(self._items):
+            raise StopIteration
+        self._next += 1
+        self.retried = False
+        slot, self._slots[index] = self._slots[index], None
+        if slot is None:
+            return self._fallback("submit")
+        future, pool = slot
+        attempt = 0
+        while True:
+            timeout = self._timeout
+            remaining = None if self._clock is None else self._clock.remaining_s()
+            if remaining is not None:
+                timeout = remaining if timeout is None else min(timeout, remaining)
+            try:
+                shipped = future.result(timeout=timeout)
+            except FuturesTimeout:
+                future.cancel()
+                if self._clock is not None and self._clock.expired():
+                    return Recompute("deadline")
+                _bump(self._stats, "pool_timeouts")
+                _trace.event("pool.timeout", point=self._point, timeout_s=timeout)
+                return self._fallback("timeout")
+            except Exception as error:
+                if self._count_error(error, "pool_worker_failures"):
+                    return self._fallback("payload")
+                if self._broken or attempt >= self._retry_limit:
+                    self._broken = True
+                    return self._fallback("worker")
+                time.sleep(_RETRY_BACKOFF_S * (2 ** attempt))
+                attempt += 1
+                _bump(self._stats, "pool_retries")
+                _trace.event(
+                    "pool.retry",
+                    point=self._point,
+                    attempt=attempt,
+                    error=type(error).__name__,
+                )
+                try:
+                    if pool is _POOL:
+                        discard_shared_pool()
+                    pool = shared_pool(self._workers)
+                    future = self._submit(pool, self._items[index])
+                except Exception:
+                    _bump(self._stats, "pool_submit_errors")
+                    self._broken = True
+                    return self._fallback("submit")
+                self.retried = True
+            else:
+                _trace.attach_children(shipped.spans)
+                _metrics.REGISTRY.merge_counters(shipped.counters)
+                return shipped.value
+
+    def close(self) -> None:
+        """Cancel every item not yet consumed."""
+        for slot in self._slots[self._next :]:
+            if slot is not None:
+                slot[0].cancel()
+        self._next = len(self._items)
+
+    def __enter__(self) -> "Dispatch":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def dispatch(
+    items: Sequence,
+    point: str,
+    fn: Callable,
+    payload: Callable[[object], Tuple],
+    *,
+    workers: int,
+    stats: Dict[str, int],
+    clock=None,
+) -> Dispatch:
+    """Submit *items* to the shared pool (grown to *workers*) up front.
+
+    Each item runs in a worker as ``fn(*payload(item))`` (*fn* at module
+    level) under fault point *point*; *payload* is re-evaluated on a
+    retry, so it may carry a remaining budget.  An optional started
+    :class:`~repro.core.budget.BudgetClock` caps every wait.
+    """
+    return Dispatch(items, point, fn, payload, workers, stats, clock)
 
 
 # ----------------------------------------------------------------------
@@ -214,25 +431,13 @@ def _cached_search(token: Tuple[int, int], blob: bytes):
     return search
 
 
-def _subtree_worker(
-    token: Tuple[int, int],
-    blob: bytes,
-    item,
-    node_budget: int,
-    trace_on: bool = False,
-):
-    """Top-level worker entry point (must be picklable by name).
+def _subtree_worker(token: Tuple[int, int], blob: bytes, item, node_budget: int):
+    """Run one subtree item in a worker (fault point ``subtree``).
 
-    *trace_on* travels with every submission: persistent workers inherit
-    whatever tracing flag the coordinator had at fork time, so the entry
-    reconfigures :mod:`repro.obs.trace` per item and ships the spans it
-    recorded back on the outcome (``SubtreeOutcome.spans``), where the
-    coordinator folds them into the parent trace.
+    The outcome carries the search's instrumentation delta for this item
+    (``SubtreeOutcome.stats``), which the fold merges into the chain's
+    stats.
     """
-    import dataclasses
-
-    _trace.configure_worker(trace_on)
-    faults.fire("subtree")
     search = _cached_search(token, blob)
     before = dict(search.stats)
     with _trace.trace_span(
@@ -244,27 +449,25 @@ def _subtree_worker(
         for key, value in search.stats.items()
         if value != before.get(key, 0)
     }
-    spans = tuple(_trace.take_spans()) if trace_on else None
-    return dataclasses.replace(outcome, stats=delta or None, spans=spans or None)
+    return replace(outcome, stats=delta or None)
 
 
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
 class SubtreeExecutor:
-    """Submits one search context's subtree items to the shared pool.
+    """Dispatches one search context's subtree items to the shared pool.
 
-    The context payload is pickled **once** (:meth:`bind`) and its bytes
-    shipped with every item; workers unpickle it on first sight and cache
-    the built search per context token, so steady-state per-item cost is
-    the item itself plus a bytes copy over the pipe.  Any submission or
-    result failure marks the executor dead — the fold then resolves the
-    remaining items in-process, with identical results.
+    The context payload is pickled **once** (:meth:`bind`); the blob and
+    its token travel with every item, and workers unpickle it on first
+    sight and cache the built search per token, so steady-state per-item
+    cost is the item itself plus a bytes copy over the pipe.  Once the
+    pool loses an item the executor is marked dead — the fold then
+    resolves the rest of the search in-process, with identical results.
     """
 
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self._pool = pool
-        self._workers = max(2, getattr(pool, "_max_workers", 2))
+    def __init__(self, workers: int = 2) -> None:
+        self._workers = workers
         self._token: Optional[Tuple[int, int]] = None
         self._blob: Optional[bytes] = None
         self._node_budget: Optional[int] = None
@@ -296,54 +499,16 @@ class SubtreeExecutor:
     def mark_dead(self) -> None:
         self._dead = True
 
-    def submit(self, item):
-        """A future for *item*, or ``None`` when the pool is unusable."""
-        if not self.usable:
-            return None
-        try:
-            return self._pool.submit(
-                _subtree_worker,
-                self._token,
-                self._blob,
-                item,
-                self._node_budget,
-                _trace.enabled(),
-            )
-        except Exception as error:
-            _bump(
-                self.counters,
-                "pool_payload_errors" if _is_payload_error(error) else "pool_submit_errors",
-            )
-            self._dead = True
-            return None
-
-    def retry_submit(self, item):
-        """Resubmit *item* on a freshly rebuilt shared pool (retry path).
-
-        A dead worker breaks the whole ``ProcessPoolExecutor``, so a
-        retry means replacing the shared pool.  Sibling futures from the
-        old pool fail on their own ``result()`` calls and take their own
-        recovery (retry or fallback) paths; new workers rebuild the
-        context cache from the blob on first sight.
-        """
-        if self._blob is None:
-            return None
-        try:
-            discard_shared_pool()
-            self._pool = shared_pool(self._workers)
-            self._dead = False
-            return self._pool.submit(
-                _subtree_worker,
-                self._token,
-                self._blob,
-                item,
-                self._node_budget,
-                _trace.enabled(),
-            )
-        except Exception:
-            _bump(self.counters, "pool_submit_errors")
-            self._dead = True
-            return None
+    def dispatch(self, items: Sequence) -> Dispatch:
+        """Pooled outcomes of *items* (see :func:`dispatch`)."""
+        return dispatch(
+            items,
+            "subtree",
+            _subtree_worker,
+            lambda item: (self._token, self._blob, item, self._node_budget),
+            workers=self._workers,
+            stats=self.counters,
+        )
 
 
 def _merge_stats(into: Dict[str, int], stats: Optional[Dict[str, int]]) -> None:
@@ -352,74 +517,14 @@ def _merge_stats(into: Dict[str, int], stats: Optional[Dict[str, int]]) -> None:
             into[key] = into.get(key, 0) + value
 
 
-def _pooled_outcome(future, item, executor, extra_stats):
-    """The pooled outcome for *item*, or ``None`` when the pool gave up.
-
-    Failure taxonomy (each occurrence counted into *extra_stats*):
-
-    * **timeout** (``pool_timeouts``) — the per-item deadline
-      (:func:`pool_item_timeout`) passed without a result.  No retry: the
-      worker behind a stuck future is still busy, and queueing another
-      copy behind it would stall the fold further.  The executor is
-      marked dead and the item resolves in-process.
-    * **payload error** (``pool_payload_errors``) — pickling/unpickling
-      failed.  Deterministic, so retrying the same bytes is pointless:
-      fail fast to in-process.
-    * **transient worker failure** (``pool_worker_failures``) — a dead
-      worker (``BrokenProcessPool``), a severed pipe, a cancelled
-      sibling of a replaced pool.  Retried up to
-      :func:`pool_retry_limit` times (``pool_retries`` counts attempts)
-      with exponential backoff on a rebuilt pool, then in-process.
-
-    The recovery is scoped to this executor where possible — the shared
-    pool may be carrying sibling whole-chain tasks (the hybrid fan-out),
-    and those fail on their own ``result()`` calls, where the
-    chain-level fallback lives.
-    """
-    timeout = pool_item_timeout()
-    attempt = 0
-    while True:
-        try:
-            if timeout is None:
-                return future.result()
-            return future.result(timeout=timeout)
-        except FuturesTimeout:
-            _bump(extra_stats, "pool_timeouts")
-            _trace.event("pool.timeout", point="subtree", timeout_s=timeout)
-            future.cancel()
-            if executor is not None:
-                executor.mark_dead()
-            return None
-        except Exception as error:
-            if _is_payload_error(error):
-                _bump(extra_stats, "pool_payload_errors")
-                _trace.event(
-                    "pool.payload_error", point="subtree", error=type(error).__name__
-                )
-                if executor is not None:
-                    executor.mark_dead()
-                return None
-            _bump(extra_stats, "pool_worker_failures")
-            resubmit = getattr(executor, "retry_submit", None)
-            if resubmit is None or attempt >= pool_retry_limit():
-                if executor is not None:
-                    executor.mark_dead()
-                return None
-            time.sleep(_RETRY_BACKOFF_S * (2 ** attempt))
-            attempt += 1
-            _bump(extra_stats, "pool_retries")
-            _trace.event(
-                "pool.retry",
-                point="subtree",
-                attempt=attempt,
-                error=type(error).__name__,
-            )
-            future = resubmit(item)
-            if future is None:
-                return None
+def _dispatch_records(executor, records):
+    """The pooled results of one level's records, or ``None`` (in-process)."""
+    if executor is None or not executor.usable or not records:
+        return None
+    return executor.dispatch([record.item for record in records])
 
 
-def _resolve_item(search, item, future, budget, executor, extra_stats, horizon):
+def _resolve_item(search, item, delivered, budget, executor, extra_stats, horizon):
     """Resolve one item to ``(status, steps, count)`` relative to its node.
 
     ``status`` is ``"witness"`` (``steps`` = path suffix from the item's
@@ -430,39 +535,35 @@ def _resolve_item(search, item, future, budget, executor, extra_stats, horizon):
     Overflowed items are re-split via :meth:`expand_item` and folded
     recursively — a deterministic decision, see the module docstring.
 
-    In-process runs receive *horizon* as a hard cap so they stop at the
-    exact crossing point; pooled workers ran with the loose global cap
-    (their entry offset was unknown at dispatch), so their results are
-    re-checked against the horizon here — a witness located beyond it is
-    rejected by the caller, making both placements land on the same
-    result.
+    *delivered* is the item's pooled outcome, a :class:`Recompute`
+    marker, or ``None`` when it was never dispatched.  In-process runs
+    receive *horizon* as a hard cap so they stop at the exact crossing
+    point; pooled workers ran with the loose global cap (their entry
+    offset was unknown at dispatch), so their results are re-checked
+    against the horizon here — a witness located beyond it is rejected
+    by the caller, making both placements land on the same result.
     """
-    outcome = None
-    if future is not None:
-        outcome = _pooled_outcome(future, item, executor, extra_stats)
-        if outcome is None:
-            # A failed item must not change verdicts: resolve it
-            # in-process (below) and record that the pool path lost it.
-            _bump(extra_stats, "pool_inprocess_fallbacks")
-            _trace.event("pool.fallback", point="subtree")
+    outcome = delivered
+    if isinstance(outcome, Recompute):
+        # A failed item must not change verdicts: resolve it in-process
+        # (below), record that the pool path lost it, and keep the rest
+        # of this search off a pool that is failing.
+        _bump(extra_stats, "pool_inprocess_fallbacks")
+        executor.mark_dead()
+        outcome = None
     if outcome is None:
         with _trace.trace_span("emptiness.subtree", inprocess=True, budget=budget):
             outcome = search.run_subtree(item, budget, hard_limit=horizon)
     else:
-        _trace.attach_children(getattr(outcome, "spans", None))
         _merge_stats(extra_stats, outcome.stats)
-        extra_stats["subtree_pooled_items"] = (
-            extra_stats.get("subtree_pooled_items", 0) + 1
-        )
-    extra_stats["subtree_items"] = extra_stats.get("subtree_items", 0) + 1
+        _bump(extra_stats, "subtree_pooled_items")
+    _bump(extra_stats, "subtree_items")
     if outcome.status == "overflow":
-        extra_stats["subtree_overflows"] = (
-            extra_stats.get("subtree_overflows", 0) + 1
-        )
+        _bump(extra_stats, "subtree_overflows")
         expansion = search.expand_item(item)
         return _fold_expansion(
             search, expansion, budget, executor, extra_stats, horizon
-        )
+        )[:3]
     if outcome.status == "witness":
         if outcome.explored > horizon:
             # The sequential search crosses max_paths before reaching
@@ -474,60 +575,90 @@ def _resolve_item(search, item, future, budget, executor, extra_stats, horizon):
     return ("done", None, outcome.explored)
 
 
-def _fold_expansion(search, expansion, budget, executor, extra_stats, horizon):
+def _fold_expansion(
+    search, expansion, budget, executor, extra_stats, horizon, clock=None, initial_total=0
+):
     """Deterministically fold one expanded node level.
 
-    Items are submitted to the pool eagerly (they are independent) but
+    Items are dispatched to the pool eagerly (they are independent) but
     consumed strictly in canonical DFS order, reconstructing the exact
     sequential interleaving of the expansion's own candidate counts
     (``record.explored_at``) with the subtree totals.  *horizon* is the
     remaining global exploration budget relative to this node: the walk
     stops at the first count that crosses it, exactly where the
     sequential search aborts — items past that point are never resolved
-    (their futures are cancelled).  Returns ``(status, steps, count)``
-    relative to the expansion's root node: for a witness, ``count`` is
-    the exploration count at which the sequential search would have
-    found it; for ``done``, the level's total count.  An inline witness
-    found by the expansion itself comes after every exported record,
-    exactly as in the sequential candidate loop (the loop stops at the
-    accepting candidate, so all exports precede it).
+    (their dispatch is closed, cancelling them).  Returns ``(status,
+    steps, count, interrupted_state)`` relative to the expansion's root
+    node: for a witness, ``count`` is the exploration count at which the
+    sequential search would have found it; for ``done``, the level's
+    total count.  An inline witness found by the expansion itself comes
+    after every exported record, exactly as in the sequential candidate
+    loop (the loop stops at the accepting candidate, so all exports
+    precede it).
+
+    With a started *clock* (the anytime driver's top-level rounds) the
+    walk is interruptible at record boundaries: it consults the clock
+    before each record (both budget axes) and charges each record's
+    resolved count, and an ambient :class:`BudgetExpired` raised mid-item
+    (the wall-clock hook inside the DFS) abandons that item — items are
+    pure functions of ``(item, budget)``, so the abandoned record simply
+    re-runs in full on resume.  *status* then gains the value
+    ``"interrupted"``, with *interrupted_state* ``(remaining_records,
+    completed_total)`` — exactly what a checkpoint needs to restart this
+    round where it stopped.  On a resumed round, pass the checkpoint's
+    remaining records as *expansion.records* and its completed total as
+    *initial_total*: ``record.explored_at`` offsets are absolute within
+    the round, so the entry arithmetic (and therefore every
+    abort/witness decision) lands exactly where the uninterrupted fold
+    would have landed.
     """
-    futures = {}
-    if executor is not None and executor.usable:
-        for index, record in enumerate(expansion.records):
-            future = executor.submit(record.item)
-            if future is None:
-                break
-            futures[index] = future
-    total = 0
+    from repro.core.budget import BudgetExpired
+
+    records = expansion.records
+    results = _dispatch_records(executor, records)
+    total = initial_total
     try:
-        for index, record in enumerate(expansion.records):
+        for index, record in enumerate(records):
             entry = record.explored_at + total
             if entry > horizon:
                 # The crossing happened in the expansion's own candidate
                 # increments (or an earlier subtree): the sequential
                 # search aborts before entering this item.
-                return ("aborted", None, entry)
-            status, steps, count = _resolve_item(
-                search,
-                record.item,
-                futures.pop(index, None),
-                budget,
-                executor,
-                extra_stats,
-                horizon - entry,
-            )
+                return ("aborted", None, entry, None)
+            if clock is not None and clock.expired():
+                return ("interrupted", None, total, (records[index:], total))
+            try:
+                status, steps, count = _resolve_item(
+                    search,
+                    record.item,
+                    next(results) if results is not None else None,
+                    budget,
+                    executor,
+                    extra_stats,
+                    horizon - entry,
+                )
+            except BudgetExpired:
+                if clock is None:
+                    raise  # a nested level: the top-level round interrupts
+                return ("interrupted", None, total, (records[index:], total))
+            if clock is not None:
+                clock.charge(count)
             if status == "witness":
-                return ("witness", record.prefix + steps, entry + count)
+                return ("witness", record.prefix + steps, entry + count, None)
             if status == "aborted":
-                return ("aborted", None, entry + count)
+                return ("aborted", None, entry + count, None)
             total += count
         if expansion.witness_steps is not None:
-            return ("witness", expansion.witness_steps, expansion.witness_at + total)
-        return ("done", None, expansion.explored + total)
+            return (
+                "witness",
+                expansion.witness_steps,
+                expansion.witness_at + total,
+                None,
+            )
+        return ("done", None, expansion.explored + total, None)
     finally:
-        for future in futures.values():
-            future.cancel()
+        if results is not None:
+            results.close()
 
 
 def run_decomposed_search(search, *, split_budget=None, executor=None, context=None):
@@ -546,33 +677,18 @@ def run_decomposed_search(search, *, split_budget=None, executor=None, context=N
     is enforced by the fold exactly as the sequential search enforces it:
     the first exploration count beyond the cap aborts the search with
     ``explored == max_paths + 1``, and witnesses located beyond the
-    horizon are discarded.
+    horizon are discarded.  This is :func:`run_budgeted_search` under a
+    budget that never expires.
     """
-    budget = int(split_budget) if split_budget else subtree_split_budget()
-    if executor is not None and context is not None:
-        executor.bind(context, budget)
-    bound_executor = executor
-    if executor is not None and not executor.usable:
-        executor = None
-    extra_stats: Dict[str, int] = {}
-    max_paths = search.max_paths
-    base = 0
-    for depth_limit in range(1, search.max_length + 1):
-        expansion = search.run_round_exporting(depth_limit)
-        status, steps, count = _fold_expansion(
-            search, expansion, budget, executor, extra_stats, max_paths - base
-        )
-        if status == "witness":
-            absolute = base + count
-            if absolute <= max_paths:
-                return steps, absolute, False, _final_stats(search, extra_stats, bound_executor)
-            # The sequential search would have aborted before reaching
-            # this candidate.
-            return None, max_paths + 1, False, _final_stats(search, extra_stats, bound_executor)
-        if status == "aborted" or base + count > max_paths:
-            return None, max_paths + 1, False, _final_stats(search, extra_stats, bound_executor)
-        base += count
-    return None, base, True, _final_stats(search, extra_stats, bound_executor)
+    from repro.core.budget import Budget
+
+    return run_budgeted_search(
+        search,
+        Budget().start(),
+        split_budget=split_budget,
+        executor=executor,
+        context=context,
+    )[:4]
 
 
 def _final_stats(
@@ -584,80 +700,6 @@ def _final_stats(
     if counters:
         _merge_stats(stats, counters)
     return stats
-
-
-# ----------------------------------------------------------------------
-# Budgeted (anytime) execution
-# ----------------------------------------------------------------------
-def _fold_expansion_budgeted(
-    search, expansion, budget, executor, extra_stats, horizon, clock, initial_total=0
-):
-    """Budgeted fold of one round: interruptible at record boundaries.
-
-    Identical to :func:`_fold_expansion` except that the walk consults
-    *clock* before each top-level record (both budget axes) and charges
-    each record's resolved count, and an ambient :class:`BudgetExpired`
-    raised mid-item (the wall-clock hook inside the DFS) abandons that
-    item — items are pure functions of ``(item, budget)``, so the
-    abandoned record simply re-runs in full on resume.
-
-    Returns ``(status, steps, count, interrupted_state)``; *status* gains
-    the value ``"interrupted"``, in which case *interrupted_state* is
-    ``(remaining_records, completed_total)`` — exactly what a
-    checkpoint needs to restart this round where it stopped.  On a resumed
-    round, pass the checkpoint's remaining records as *expansion.records*
-    and its completed total as *initial_total*: ``record.explored_at``
-    offsets are absolute within the round, so the entry arithmetic (and
-    therefore every abort/witness decision) lands exactly where the
-    uninterrupted fold would have landed.
-    """
-    from repro.core.budget import BudgetExpired
-
-    futures = {}
-    records = expansion.records
-    if executor is not None and executor.usable:
-        for index, record in enumerate(records):
-            future = executor.submit(record.item)
-            if future is None:
-                break
-            futures[index] = future
-    total = initial_total
-    try:
-        for index, record in enumerate(records):
-            entry = record.explored_at + total
-            if entry > horizon:
-                return ("aborted", None, entry, None)
-            if clock.expired():
-                return ("interrupted", None, total, (records[index:], total))
-            try:
-                status, steps, count = _resolve_item(
-                    search,
-                    record.item,
-                    futures.pop(index, None),
-                    budget,
-                    executor,
-                    extra_stats,
-                    horizon - entry,
-                )
-            except BudgetExpired:
-                return ("interrupted", None, total, (records[index:], total))
-            clock.charge(count)
-            if status == "witness":
-                return ("witness", record.prefix + steps, entry + count, None)
-            if status == "aborted":
-                return ("aborted", None, entry + count, None)
-            total += count
-        if expansion.witness_steps is not None:
-            return (
-                "witness",
-                expansion.witness_steps,
-                expansion.witness_at + total,
-                None,
-            )
-        return ("done", None, expansion.explored + total, None)
-    finally:
-        for future in futures.values():
-            future.cancel()
 
 
 def run_budgeted_search(
@@ -714,7 +756,10 @@ def run_budgeted_search(
             ),
         )
 
-    search.interrupt = clock.interrupt_check
+    # Only a deadline can interrupt mid-item; node caps are charged at
+    # record boundaries.
+    if clock.remaining_s() is not None:
+        search.interrupt = clock.interrupt_check
     try:
         for depth_limit in range(start_depth, search.max_length + 1):
             expansion = None
@@ -741,7 +786,7 @@ def run_budgeted_search(
                     expansion = search.run_round_exporting(depth_limit)
                 except BudgetExpired:
                     return _interrupted(depth_limit, None, 0, None)
-            status, steps, count, interrupted = _fold_expansion_budgeted(
+            status, steps, count, interrupted = _fold_expansion(
                 search,
                 expansion,
                 budget,

@@ -47,6 +47,7 @@ EXPECTED_RULE_IDS = {
     "PRN001",
     "IO001",
     "SQL002",
+    "POOL001",
 }
 
 
@@ -774,6 +775,46 @@ class TestBarePrintRule:
         )
         assert report.findings == []
         assert rule_ids_suppressed(report) == ["PRN001"]
+
+
+# ----------------------------------------------------------------------
+# POOL001 — the shared pool is reached only through workqueue.dispatch
+# ----------------------------------------------------------------------
+class TestPoolChokepointRule:
+    SNIPPET = """
+        from repro.store import workqueue
+        from concurrent.futures import ProcessPoolExecutor
+
+        def fan_out(items):
+            pool = workqueue.shared_pool(2)
+            futures = [pool.submit(len, item) for item in items]
+            with ProcessPoolExecutor(max_workers=1) as spare:
+                spare.submit(len, items)
+            return [future.result() for future in futures]
+        """
+
+    def test_pool_use_outside_workqueue_flagged(self):
+        report = findings_of(self.SNIPPET, "repro/engine/engine.py")
+        assert sorted(rule_ids(report)) == ["POOL001"] * 5
+
+    def test_pool_use_inside_workqueue_clean(self):
+        report = findings_of(self.SNIPPET, "repro/store/workqueue.py")
+        assert report.findings == []
+
+    def test_dispatch_call_clean(self):
+        report = findings_of(
+            """
+            from repro.store import workqueue
+
+            def fan_out(items, stats):
+                with workqueue.dispatch(
+                    items, "task", len, lambda item: (item,), workers=2, stats=stats
+                ) as results:
+                    return list(results)
+            """,
+            "repro/store/parallel.py",
+        )
+        assert report.findings == []
 
 
 # ----------------------------------------------------------------------

@@ -179,6 +179,62 @@ class TestChainFaults:
         assert (faulty.stats or {}).get("pool_chain_fallbacks", 0) >= 1
 
 
+    def test_chain_delay_honours_the_item_timeout(self, vocabulary, monkeypatch):
+        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+        sequential = automaton_emptiness(
+            automaton, vocabulary, parallel=False, **KWARGS
+        )
+        monkeypatch.setenv(FAULT_INJECT_ENV, "delay@chain:0:3.0")
+        monkeypatch.setenv(workqueue_module.POOL_ITEM_TIMEOUT_ENV, "0.1")
+        workqueue_module.discard_shared_pool()
+        start = time.perf_counter()
+        faulty = automaton_emptiness(
+            automaton, vocabulary, parallel=True, max_workers=2, **KWARGS
+        )
+        elapsed = time.perf_counter() - start
+        assert _result_fields(faulty) == _result_fields(sequential)
+        assert (faulty.stats or {}).get("pool_timeouts", 0) >= 1
+        # the stalled workers are abandoned, not waited for
+        assert elapsed < 3.0
+
+    def test_transient_chain_failure_is_retried(self, vocabulary, monkeypatch):
+        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+        sequential = automaton_emptiness(
+            automaton, vocabulary, parallel=False, **KWARGS
+        )
+        # one worker: chain 0 is hit 0, chain 1 raises at hit 1; the
+        # retry's fresh worker is at hit 0 again and succeeds
+        monkeypatch.setenv(FAULT_INJECT_ENV, "raise@chain:1")
+        workqueue_module.discard_shared_pool()
+        faulty = automaton_emptiness(
+            automaton, vocabulary, parallel=True, max_workers=1, **KWARGS
+        )
+        assert _result_fields(faulty) == _result_fields(sequential)
+        stats = faulty.stats or {}
+        assert stats.get("pool_retries", 0) >= 1
+        assert stats.get("pool_chain_fallbacks", 0) == 0
+
+    def test_failed_chain_is_recomputed_alone(self, vocabulary, monkeypatch):
+        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+        sequential = automaton_emptiness(
+            automaton, vocabulary, parallel=False, **KWARGS
+        )
+        assert sequential.chains_checked >= 2
+        monkeypatch.setenv(FAULT_INJECT_ENV, "raise@chain:1")
+        monkeypatch.setenv(workqueue_module.POOL_RETRIES_ENV, "0")
+        workqueue_module.discard_shared_pool()
+        faulty = automaton_emptiness(
+            automaton, vocabulary, parallel=True, max_workers=1, **KWARGS
+        )
+        assert _result_fields(faulty) == _result_fields(sequential)
+        stats = faulty.stats or {}
+        # no retries allowed: only the raising chain falls back, the
+        # other chains keep their pooled outcomes
+        assert stats.get("pool_retries", 0) == 0
+        assert stats["pool_worker_failures"] == 1
+        assert stats["pool_chain_fallbacks"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Real-pool injection: subtree items
 # ---------------------------------------------------------------------------
@@ -294,6 +350,81 @@ class TestEngineTaskFaults:
         stats = engine.stats()
         assert stats["pool_timeouts"] >= 1
         assert stats["pool_inprocess_fallbacks"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# The full matrix: every fault action at every worker entry point
+# ---------------------------------------------------------------------------
+def _pool_counters(stats):
+    return {key: value for key, value in stats.items() if key.startswith("pool_")}
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("point", ["chain", "subtree", "task"])
+    @pytest.mark.parametrize("action", ["kill", "corrupt", "raise", "delay"])
+    def test_cell_matches_the_sequential_oracle(
+        self, vocabulary, monkeypatch, action, point
+    ):
+        spec = f"{action}@{point}:0" + (":1.5" if action == "delay" else "")
+        if point == "task":
+            oracle = [
+                r.value
+                for r in DecisionEngine(parallel=False).run_batch(_bounded_tasks())
+            ]
+        else:
+            automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+            oracle = _result_fields(
+                automaton_emptiness(automaton, vocabulary, parallel=False, **KWARGS)
+            )
+        monkeypatch.setenv(FAULT_INJECT_ENV, spec)
+        monkeypatch.setenv(workqueue_module.POOL_ITEM_TIMEOUT_ENV, "0.1")
+        workqueue_module.discard_shared_pool()
+        if point == "task":
+            engine = DecisionEngine(max_workers=1)
+            observed = [r.value for r in engine.run_batch(_bounded_tasks())]
+            stats = engine.stats()
+        else:
+            result = automaton_emptiness(
+                automaton,
+                vocabulary,
+                parallel=True,
+                subtree_parallel=point == "subtree",
+                max_workers=2,
+                **KWARGS,
+            )
+            observed = _result_fields(result)
+            stats = result.stats or {}
+        assert observed == oracle
+        assert any(value >= 1 for value in _pool_counters(stats).values()), stats
+
+
+# ---------------------------------------------------------------------------
+# The budgeted (anytime) path counts a pool that cannot be created
+# ---------------------------------------------------------------------------
+class TestBudgetedPoolCreation:
+    def test_pool_creation_failure_is_counted(self, vocabulary, monkeypatch):
+        from repro.core.budget import Budget
+
+        def refuse(workers):
+            raise OSError("no process pool in this environment")
+
+        automaton = _multi_chain_automaton(vocabulary, empty_language=True)
+        sequential = automaton_emptiness(
+            automaton, vocabulary, parallel=False, **KWARGS
+        )
+        monkeypatch.setattr(workqueue_module, "shared_pool", refuse)
+        budgeted = automaton_emptiness(
+            automaton,
+            vocabulary,
+            parallel=True,
+            subtree_parallel=True,
+            max_workers=2,
+            budget=Budget(deadline_s=600.0),
+            **KWARGS,
+        )
+        assert _result_fields(budgeted) == _result_fields(sequential)
+        assert not budgeted.unknown
+        assert budgeted.stats["pool_submit_errors"] >= 1
 
 
 # ---------------------------------------------------------------------------

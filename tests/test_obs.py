@@ -277,7 +277,11 @@ class TestWorkerSpanShipping:
         context = multiprocessing.get_context(start_method)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             outcome = pool.submit(
-                workqueue_module._subtree_worker, token, blob, items[0], 10**6, True
+                workqueue_module._pool_worker,
+                "subtree",
+                workqueue_module._subtree_worker,
+                (token, blob, items[0], 10**6),
+                True,
             ).result()
         assert outcome.spans, "worker recorded no spans with tracing on"
         clone = pickle.loads(pickle.dumps(outcome.spans))
@@ -288,13 +292,17 @@ class TestWorkerSpanShipping:
         # The same submission with tracing off ships nothing.
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             quiet = pool.submit(
-                workqueue_module._subtree_worker, token, blob, items[0], 10**6, False
+                workqueue_module._pool_worker,
+                "subtree",
+                workqueue_module._subtree_worker,
+                (token, blob, items[0], 10**6),
+                False,
             ).result()
         assert quiet.spans is None
-        assert (quiet.status, quiet.steps, quiet.explored) == (
-            outcome.status,
-            outcome.steps,
-            outcome.explored,
+        assert (quiet.value.status, quiet.value.steps, quiet.value.explored) == (
+            outcome.value.status,
+            outcome.value.steps,
+            outcome.value.explored,
         )
 
 

@@ -72,8 +72,25 @@ class ImmediateFuture:
         self.cancelled = True
 
 
+class ScriptedResults:
+    """``workqueue.Dispatch`` stand-in: results in order, close() cancels."""
+
+    def __init__(self, futures):
+        self._futures = futures
+        self._next = 0
+
+    def __next__(self):
+        future = self._futures[self._next]
+        self._next += 1
+        return future.result()
+
+    def close(self):
+        for future in self._futures[self._next :]:
+            future.cancel()
+
+
 class ScriptedExecutor:
-    """Pool stand-in: resolves submissions from the same script, inline."""
+    """Pool stand-in: resolves dispatched items from the same script, inline."""
 
     def __init__(self, outcomes):
         self._outcomes = outcomes
@@ -87,11 +104,11 @@ class ScriptedExecutor:
     def mark_dead(self):
         self.usable = False
 
-    def submit(self, item):
-        self.submitted.append(item)
-        future = ImmediateFuture(self._outcomes[item])
-        self.futures.append(future)
-        return future
+    def dispatch(self, items):
+        futures = [ImmediateFuture(self._outcomes[item]) for item in items]
+        self.submitted.extend(items)
+        self.futures.extend(futures)
+        return ScriptedResults(futures)
 
 
 def _round(records, witness_steps=None, witness_at=0, explored=0):
@@ -307,33 +324,26 @@ class TestResplit:
 
 
 class TestExecutorFailureFallback:
-    def test_broken_future_falls_back_in_process(self):
+    def test_broken_future_falls_back_in_process(self, monkeypatch):
         a = _item("a")
         rounds = [_round([ExportRecord(a, ("pre-a",), 1)], explored=1)]
         outcomes = {a: SubtreeOutcome("done", None, 5)}
 
         class FailingFuture:
-            def result(self):
+            def result(self, timeout=None):
                 raise OSError("worker died")
 
             def cancel(self):
                 pass
 
-        class FailingExecutor:
-            usable = True
-
-            def bind(self, context, node_budget):
-                pass
-
-            def mark_dead(self):
-                self.usable = False
-
-            def submit(self, item):
+        class FailingPool:
+            def submit(self, *args):
                 return FailingFuture()
 
+        monkeypatch.setattr(workqueue, "shared_pool", lambda workers: FailingPool())
         search = ScriptedSearch(rounds, outcomes)
         steps, explored, exhausted, _ = workqueue.run_decomposed_search(
-            search, executor=FailingExecutor(), context=("ctx",)
+            search, executor=workqueue.SubtreeExecutor(), context=("ctx",)
         )
         assert (steps, explored, exhausted) == (None, 1 + 5, True)
         # The fallback resolved the item in-process.
@@ -394,7 +404,139 @@ class TestWorkerContextCache:
 
 class TestSubtreeExecutorBind:
     def test_unpicklable_context_marks_executor_dead(self):
-        executor = workqueue.SubtreeExecutor(pool=None)
+        executor = workqueue.SubtreeExecutor()
         executor.bind(lambda: None, 100)  # lambdas don't pickle
         assert not executor.usable
-        assert executor.submit(_item("x")) is None
+        record = ExportRecord(_item("x"), (), 0)
+        assert workqueue._dispatch_records(executor, (record,)) is None
+
+
+# ---------------------------------------------------------------------------
+# The dispatcher's failure state machine, driven through an inline pool
+# ---------------------------------------------------------------------------
+class LazyFuture:
+    """Runs the submitted call on first ``result()``; records cancellation."""
+
+    def __init__(self, fn, args, stall=False):
+        self._fn, self._args, self._stall = fn, args, stall
+        self.cancelled = False
+
+    def result(self, timeout=None):
+        from concurrent.futures import TimeoutError as FuturesTimeout
+
+        if self._stall:
+            raise FuturesTimeout()
+        return self._fn(*self._args)
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class InlinePool:
+    def __init__(self, stall=False):
+        self.futures = []
+        self._stall = stall
+
+    def submit(self, fn, *args):
+        future = LazyFuture(fn, args, self._stall)
+        self.futures.append(future)
+        return future
+
+
+def _double(value):
+    return 2 * value
+
+
+class TestDispatch:
+    @pytest.fixture(autouse=True)
+    def _no_fault_plan(self):
+        from repro.store import faults
+
+        faults.clear()
+        yield
+        faults.clear()
+
+    def _dispatch(self, monkeypatch, items, pool, clock=None):
+        monkeypatch.setattr(workqueue, "shared_pool", lambda workers: pool)
+        stats = {}
+        results = workqueue.dispatch(
+            items, "task", _double, lambda item: (item,), workers=1, stats=stats,
+            clock=clock,
+        )
+        return results, stats
+
+    def test_results_in_order_and_close_cancels_the_rest(self, monkeypatch):
+        pool = InlinePool()
+        results, stats = self._dispatch(monkeypatch, [1, 2, 3], pool)
+        assert next(results) == 2
+        assert next(results) == 4
+        results.close()
+        assert [f.cancelled for f in pool.futures] == [False, False, True]
+        assert list(results) == []
+        assert stats == {}
+
+    def test_transient_failure_is_retried(self, monkeypatch):
+        from repro.store import faults
+
+        faults.install("raise@task:0")
+        results, stats = self._dispatch(monkeypatch, [5, 6], InlinePool())
+        assert next(results) == 10
+        assert results.retried
+        assert next(results) == 12
+        assert not results.retried
+        assert stats == {"pool_worker_failures": 1, "pool_retries": 1}
+
+    def test_payload_error_falls_back_at_once(self, monkeypatch):
+        from repro.store import faults
+
+        faults.install("corrupt@task:0")
+        results, stats = self._dispatch(monkeypatch, [5, 6], InlinePool())
+        assert list(results) == [workqueue.Recompute("payload"), 12]
+        assert stats == {"pool_payload_errors": 1}
+
+    def test_spent_retries_stop_retrying_the_batch(self, monkeypatch):
+        from repro.store import faults
+
+        monkeypatch.setenv(workqueue.POOL_RETRIES_ENV, "1")
+        faults.install("raise@task:0,raise@task:1,raise@task:2")
+        results, stats = self._dispatch(monkeypatch, [5, 6, 7], InlinePool())
+        assert list(results) == [
+            workqueue.Recompute("worker"),
+            workqueue.Recompute("worker"),  # no retry: the pool is broken
+            14,
+        ]
+        assert stats == {"pool_worker_failures": 3, "pool_retries": 1}
+
+    def test_pool_creation_failure_marks_every_item(self, monkeypatch):
+        def refuse(workers):
+            raise OSError("no process pool in this environment")
+
+        monkeypatch.setattr(workqueue, "shared_pool", refuse)
+        stats = {}
+        results = workqueue.dispatch(
+            [1, 2], "task", _double, lambda item: (item,), workers=1, stats=stats
+        )
+        assert list(results) == [workqueue.Recompute("submit")] * 2
+        assert stats == {"pool_submit_errors": 1}
+
+    def test_timeout_abandons_the_item(self, monkeypatch):
+        monkeypatch.setenv(workqueue.POOL_ITEM_TIMEOUT_ENV, "0.1")
+        pool = InlinePool(stall=True)
+        results, stats = self._dispatch(monkeypatch, [1], pool)
+        assert list(results) == [workqueue.Recompute("timeout")]
+        assert pool.futures[0].cancelled
+        assert stats == {"pool_timeouts": 1}
+
+    def test_expired_batch_clock_is_a_deadline_not_a_timeout(self, monkeypatch):
+        class ExpiredClock:
+            def remaining_s(self):
+                return 0.0
+
+            def expired(self):
+                return True
+
+        results, stats = self._dispatch(
+            monkeypatch, [1], InlinePool(stall=True), clock=ExpiredClock()
+        )
+        assert list(results) == [workqueue.Recompute("deadline")]
+        assert stats == {}
